@@ -179,6 +179,22 @@ class FittedModel:
         return self.inner.predict_proba(X)
 
 
+def _fit(
+    X: np.ndarray,
+    y: np.ndarray,
+    kind: str,
+    feature_sets: Sequence[str],
+    seed: int,
+    logistic_config: LogisticConfig,
+    forest_config: ForestConfig,
+) -> object:
+    if kind == "logistic":
+        return train_logistic(X, y, logistic_config)
+    if kind == "forest":
+        return train_forest(X, y, derive_rng(seed, "forest", *feature_sets), forest_config)
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
 def train_model(
     rows: Sequence[FeatureVector],
     y: np.ndarray,
@@ -189,12 +205,7 @@ def train_model(
     forest_config: ForestConfig = ForestConfig(),
 ) -> FittedModel:
     X, _ = design_matrix(rows, feature_sets)
-    if kind == "logistic":
-        inner: object = train_logistic(X, y, logistic_config)
-    elif kind == "forest":
-        inner = train_forest(X, y, derive_rng(seed, "forest", *feature_sets), forest_config)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    inner = _fit(X, y, kind, feature_sets, seed, logistic_config, forest_config)
     return FittedModel(kind=kind, feature_sets=tuple(feature_sets), inner=inner)
 
 
@@ -234,19 +245,19 @@ def cross_validate(
     if len(ds) < k:
         raise TooFewRows(f"{len(ds)} rows < {k} folds")
     fold_of = stratified_folds(ds.y, k, derive_rng(seed, "folds", kind, *feature_sets))
+    X, _ = design_matrix(ds.rows, feature_sets)
     scores = np.empty(len(ds))
     for fold in range(k):
         test_idx = np.flatnonzero(fold_of == fold)
         train_idx = np.flatnonzero(fold_of != fold)
         if len(test_idx) == 0:
             continue
-        train_rows = [ds.rows[i] for i in train_idx]
-        model = train_model(
-            train_rows, ds.y[train_idx], kind, feature_sets,
-            seed=derive_rng(seed, "fold-seed", fold).integers(2**32),
-            logistic_config=logistic_config, forest_config=forest_config,
+        model = _fit(
+            X[train_idx], ds.y[train_idx], kind, feature_sets,
+            derive_rng(seed, "fold-seed", fold).integers(2**32),
+            logistic_config, forest_config,
         )
-        scores[test_idx] = model.score_rows([ds.rows[i] for i in test_idx])
+        scores[test_idx] = model.predict_proba(X[test_idx])
     return CvResult(metrics=_metrics_from_scores(ds.y, scores), scores=scores, fold_of=fold_of)
 
 

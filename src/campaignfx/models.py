@@ -4,6 +4,17 @@ Both are deliberately dependency-free so that fits are bit-reproducible from
 the derived RNG streams. The logistic model is a Newton solver on the
 L2-penalized log-likelihood over standardized features; the forest grows
 CART trees on bootstrapped rows with a random feature subset per split.
+
+Trees grow depth first. Each splittable node draws its ``sqrt(p)`` candidate
+features and scores them in one vectorized pass over a ``(candidates x
+rows)`` block: one stable sort along rows, one cumulative sum of the labels,
+the Gini impurity of every threshold, and one flat ``argmin``, which breaks
+ties towards the first candidate drawn and then the lowest threshold. That
+is the tie-break of a search that scores one feature at a time, and the
+nodes draw from the RNG in the same order, so tree shapes and the RNG draw
+order are those of the per-feature search. Prediction routes all trees
+together, one depth level per step, and adds the tree probabilities in
+tree order.
 """
 
 from __future__ import annotations
@@ -11,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -162,96 +172,67 @@ class _Tree:
     right: np.ndarray
     prob: np.ndarray
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X))
-        stack = [(0, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[idx] = self.prob[node]
-                continue
-            mask = X[idx, f] <= self.threshold[node]
-            stack.append((self.left[node], idx[mask]))
-            stack.append((self.right[node], idx[~mask]))
-        return out
-
-
-def _best_split(Xf: np.ndarray, y: np.ndarray, min_leaf: int) -> Optional[tuple[float, float]]:
-    """Best (impurity, threshold) Gini split of one feature, or None."""
-    order = np.argsort(Xf, kind="mergesort")
-    xs = Xf[order]
-    ys = y[order]
-    m = len(ys)
-    pos_left = np.cumsum(ys)[:-1]
-    n_left = np.arange(1, m)
-    valid = (xs[1:] != xs[:-1]) & (n_left >= min_leaf) & (m - n_left >= min_leaf)
-    if not np.any(valid):
-        return None
-    n_right = m - n_left
-    pos_right = pos_left[-1] + ys[-1] - pos_left
-    with np.errstate(invalid="ignore"):
-        gini_left = 2.0 * pos_left * (n_left - pos_left) / n_left
-        gini_right = 2.0 * pos_right * (n_right - pos_right) / n_right
-    impurity = (gini_left + gini_right) / m
-    impurity[~valid] = np.inf
-    best = int(np.argmin(impurity))
-    if not np.isfinite(impurity[best]):
-        return None
-    threshold = 0.5 * (xs[best] + xs[best + 1])
-    return float(impurity[best]), threshold
-
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, config: ForestConfig) -> _Tree:
-    n, p = X.shape
+    """Depth-first CART growth; each node scores its candidates as one block.
+
+    Among equal best impurities, the flat ``argmin`` takes the first
+    candidate in draw order, then the lowest threshold.
+    """
+    p = X.shape[1]
     n_candidates = max(1, int(math.sqrt(p)))
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    prob: list[float] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        prob.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.arange(n))]
+    min_leaf = config.min_leaf
+    feature: list[int] = [-1]
+    threshold: list[float] = [0.0]
+    left: list[int] = [-1]
+    right: list[int] = [-1]
+    prob: list[float] = [0.0]
+    block_rows = np.arange(n_candidates)[:, None]
+    # (node, its rows of X.T, its labels): children carry copies, not indices
+    stack = [(0, np.ascontiguousarray(X.T), y)]
     while stack:
-        node, idx = stack.pop()
-        ys = y[idx]
+        node, Xt, ys = stack.pop()
+        m = len(ys)
         pos = float(ys.sum())
-        prob[node] = pos / len(ys)
-        if pos == 0 or pos == len(ys) or len(ys) < 2 * config.min_leaf:
+        prob[node] = pos / m
+        if pos == 0 or pos == m or m < 2 * min_leaf:
             continue
         parent_gini = 2.0 * prob[node] * (1.0 - prob[node])
         candidates = rng.choice(p, size=n_candidates, replace=False)
-        best = None
-        for f in candidates:
-            split = _best_split(X[idx, f], ys, config.min_leaf)
-            if split is None:
-                continue
-            if best is None or split[0] < best[1]:
-                best = (int(f), split[0], split[1])
-        if best is None or best[1] >= parent_gini - 1e-15:
+        block = Xt[candidates]
+        order = np.argsort(block, axis=1, kind="mergesort")
+        xs = block[block_rows, order]
+        cum = np.cumsum(ys[order], axis=1)
+        pos_left = cum[:, :-1]
+        pos_right = cum[:, -1:] - pos_left
+        n_left = np.arange(1, m)
+        n_right = m - n_left
+        gini_left = 2.0 * pos_left * (n_left - pos_left) / n_left
+        gini_right = 2.0 * pos_right * (n_right - pos_right) / n_right
+        valid = (xs[:, 1:] != xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+        impurity = np.where(valid, (gini_left + gini_right) / m, np.inf)
+        best = int(np.argmin(impurity))
+        c, t = divmod(best, m - 1)
+        # a block with no valid threshold is inf throughout
+        if not impurity[c, t] < parent_gini - 1e-15:
             continue
-        f, _, thr = best
-        mask = X[idx, f] <= thr
+        thr = 0.5 * (xs[c, t] + xs[c, t + 1])
+        f = int(candidates[c])
+        mask = Xt[f] <= thr
         # adjacent float values can collapse the midpoint onto one side
-        if not mask.any() or mask.all():
+        if np.count_nonzero(mask) in (0, m):
             continue
         feature[node] = f
         threshold[node] = thr
-        left[node] = new_node()
-        right[node] = new_node()
-        stack.append((left[node], idx[mask]))
-        stack.append((right[node], idx[~mask]))
+        left[node] = len(feature)
+        right[node] = len(feature) + 1
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+        prob += [0.0, 0.0]
+        stack.append((left[node], Xt[:, mask], ys[mask]))
+        stack.append((right[node], Xt[:, ~mask], ys[~mask]))
     return _Tree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=float),
@@ -266,10 +247,33 @@ class ForestModel:
     trees: list[_Tree] = field(default_factory=list)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean leaf probability over trees, routing every tree at once.
+
+        The node arrays of all trees are laid end to end, and each pass
+        moves every (tree, row) pair that sits on an inner node one level
+        down. Tree probabilities are added in tree order.
+        """
         X = np.asarray(X, dtype=float)
-        total = np.zeros(len(X))
-        for tree in self.trees:
-            total += tree.predict_proba(X)
+        n = len(X)
+        sizes = [len(tree.feature) for tree in self.trees]
+        offsets = np.cumsum([0] + sizes[:-1])
+        feature = np.concatenate([tree.feature for tree in self.trees])
+        threshold = np.concatenate([tree.threshold for tree in self.trees])
+        left = np.concatenate([tree.left + off for tree, off in zip(self.trees, offsets)])
+        right = np.concatenate([tree.right + off for tree, off in zip(self.trees, offsets)])
+        prob = np.concatenate([tree.prob for tree in self.trees])
+        node = np.repeat(offsets, n)
+        row = np.tile(np.arange(n), len(self.trees))
+        inner = np.flatnonzero(feature[node] >= 0)
+        while len(inner):
+            at = node[inner]
+            goes_left = X[row[inner], feature[at]] <= threshold[at]
+            node[inner] = np.where(goes_left, left[at], right[at])
+            inner = inner[feature[node[inner]] >= 0]
+        leaf_prob = prob[node].reshape(len(self.trees), n)
+        total = np.zeros(n)
+        for tree_prob in leaf_prob:
+            total += tree_prob
         return total / len(self.trees)
 
 

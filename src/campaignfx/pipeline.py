@@ -27,7 +27,7 @@ from .campaign import (
 from .cohort import ReferenceGroup, VenueProfile, filter_zero_activity
 from .config import RunConfig
 from .effect import EffectLabel, EffectResult, Horizon, TestConfig, evaluate_effect
-from .errors import InsufficientData
+from .errors import IneligibleCampaign, InsufficientData
 from .features import FeatureVector, extract_geo_features, extract_promo_features, extract_venue_features, neighborhood
 from .geo import RadiusIndex
 from .rng import derive_rng
@@ -207,7 +207,7 @@ def _make_tasks(
                 s, start_day, end_day,
                 k=config.k, w_max=config.w_max, min_duration=config.min_duration,
             )
-        except Exception:
+        except (IneligibleCampaign, InsufficientData):
             continue
         for horizon in _horizons(config):
             if horizon is Horizon.LONG_TERM and seg.after is None:

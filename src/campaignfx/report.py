@@ -213,6 +213,7 @@ def train_models(
                 f"(got {ds.n_positive} positive, {ds.n_negative} negative)"
             )
         cv_scores: dict = {}
+        full_logistic: dict = {}
         for kind in MODEL_KINDS:
             for combo in FEATURE_SET_COMBOS:
                 record = {
@@ -236,6 +237,8 @@ def train_models(
                     cv_scores[combo] = cv.scores
                 if eval_rows:
                     model = train_model(ds.rows, ds.y, kind, combo, seed=config.seed)
+                    if kind == "logistic":
+                        full_logistic[combo] = model
                     record["out_of_sample"] = {
                         "metrics": out_of_sample_eval(model, eval_rows).as_dict(),
                         "n_rows": len(eval_rows),
@@ -245,11 +248,9 @@ def train_models(
         pair_a, pair_b = RMS_PAIR
         if pair_a in cv_scores and pair_b in cv_scores:
             rms_gaps["cv"][_horizon_key(horizon)] = rms_gap(cv_scores[pair_a], cv_scores[pair_b])
-        if eval_rows and pair_a in cv_scores and pair_b in cv_scores:
-            model_a = train_model(ds.rows, ds.y, "logistic", pair_a, seed=config.seed)
-            model_b = train_model(ds.rows, ds.y, "logistic", pair_b, seed=config.seed)
+        if pair_a in full_logistic and pair_b in full_logistic:
             rms_gaps["out_of_sample"][_horizon_key(horizon)] = rms_probability_gap(
-                model_a, model_b, eval_rows
+                full_logistic[pair_a], full_logistic[pair_b], eval_rows
             )
     return metrics_records, rms_gaps
 

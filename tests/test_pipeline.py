@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from campaignfx import pipeline
 from campaignfx.config import RunConfig
 from campaignfx.effect import EffectLabel, Horizon
+from campaignfx.errors import IneligibleCampaign, InsufficientData
 from campaignfx.pipeline import test_stage as run_test_stage
 from campaignfx.pipeline import (
     build_corpus,
@@ -102,6 +104,33 @@ class TestStages:
         for row in rows[:20]:
             assert row.label is not None
             assert row.promo.duration >= 7
+
+
+class TestMakeTasks:
+    def _window(self, corpus):
+        venue_id = sorted(corpus.series)[0]
+        return [(venue_id, 40, 50, None)]
+
+    def test_short_history_window_is_skipped(self, corpus):
+        venue_id, series = sorted(corpus.series.items())[0]
+        window = [(venue_id, series.origin_day, series.origin_day + 10, None)]
+        assert pipeline._make_tasks(corpus, window, fast_config()) == []
+        assert pipeline._make_tasks(corpus, self._window(corpus), fast_config())
+
+    @pytest.mark.parametrize("error", [IneligibleCampaign("ShortHistory"), InsufficientData("gap")])
+    def test_ineligible_window_is_skipped(self, corpus, monkeypatch, error):
+        def refuse(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(pipeline, "segment", refuse)
+        assert pipeline._make_tasks(corpus, self._window(corpus), fast_config()) == []
+
+    @pytest.mark.parametrize("error", [RuntimeError("bug"), ValueError("bad"), KeyError("x")])
+    def test_other_errors_propagate(self, corpus, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(pipeline, "segment", broken)
+        with pytest.raises(type(error)):
+            pipeline._make_tasks(corpus, self._window(corpus), fast_config())
 
 
 class TestCsvRoundTrips:
