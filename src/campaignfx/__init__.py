@@ -64,6 +64,7 @@ from .series import (
     DailySeries,
     SegmentedSeries,
     SnapshotReading,
+    VenueSnapshots,
     daily_checkins,
     interpolate_daily,
     parse_snapshots,

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .errors import IneligibleCampaign, MalformedRecord
+from .errors import IneligibleCampaign
 from .series import (
     BEFORE_DAYS,
     DAY_SECONDS,
@@ -15,6 +14,7 @@ from .series import (
     MIN_CAMPAIGN_DAYS,
     ParseError,
     SegmentedSeries,
+    parse_records,
     parse_timestamp,
     segment,
 )
@@ -85,43 +85,28 @@ class OfferParseReport:
     errors: list[ParseError] = field(default_factory=list)
 
 
+def _offer(obj: dict) -> RawOffer:
+    kind_name = obj["type"]
+    try:
+        kind = OfferKind(kind_name)
+    except ValueError:
+        raise ValueError(f"unknown offer type {kind_name!r}") from None
+    offer = RawOffer(
+        venue_id=str(obj["venue_id"]),
+        special_id=str(obj["special_id"]),
+        kind=kind,
+        start_ts=parse_timestamp(obj["start"]),
+        end_ts=parse_timestamp(obj["end"]),
+    )
+    if offer.end_ts < offer.start_ts:
+        raise ValueError("offer ends before it starts")
+    return offer
+
+
 def parse_offers(lines: Iterable[str]) -> OfferParseReport:
     """Parse offer JSONL records; malformed lines are recorded and skipped."""
     report = OfferParseReport()
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise MalformedRecord(line_no, "record is not an object")
-            kind_name = obj["type"]
-            try:
-                kind = OfferKind(kind_name)
-            except ValueError:
-                raise MalformedRecord(line_no, f"unknown offer type {kind_name!r}")
-            offer = RawOffer(
-                venue_id=str(obj["venue_id"]),
-                special_id=str(obj["special_id"]),
-                kind=kind,
-                start_ts=parse_timestamp(obj["start"]),
-                end_ts=parse_timestamp(obj["end"]),
-            )
-            if offer.end_ts < offer.start_ts:
-                raise MalformedRecord(line_no, "offer ends before it starts")
-        except MalformedRecord as exc:
-            report.errors.append(ParseError(exc.line_no, exc.message))
-            continue
-        except json.JSONDecodeError as exc:
-            report.errors.append(ParseError(line_no, f"invalid JSON: {exc.msg}"))
-            continue
-        except KeyError as exc:
-            report.errors.append(ParseError(line_no, f"missing field {exc.args[0]!r}"))
-            continue
-        except (TypeError, ValueError) as exc:
-            report.errors.append(ParseError(line_no, str(exc)))
-            continue
-        report.offers.append(offer)
+    report.offers = list(parse_records(lines, _offer, report.errors))
     return report
 
 

@@ -10,7 +10,6 @@ campaign effects from background drift.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -19,8 +18,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .effect import EffectLabel, EffectResult
-from .errors import EmptyDenominator, MalformedRecord
-from .series import DailySeries, ParseError
+from .errors import EmptyDenominator
+from .series import DailySeries, ParseError, parse_records
 
 MATCH_CELL_DEG = 0.1
 N_REFERENCE_GROUPS = 20
@@ -63,38 +62,20 @@ class VenueParseReport:
     errors: list[ParseError] = field(default_factory=list)
 
 
-def parse_venues(lines: Iterable[str], promoted_ids: Optional[set[str]] = None) -> VenueParseReport:
-    """Parse venue-profile JSONL; ``promoted_ids`` sets the promotion flag."""
+def _venue_profile(obj: dict) -> VenueProfile:
+    category = Category(obj["category"])
+    return VenueProfile(
+        venue_id=str(obj["venue_id"]),
+        category=category,
+        lat=float(obj["lat"]),
+        lon=float(obj["lon"]),
+    )
+
+
+def parse_venues(lines: Iterable[str]) -> VenueParseReport:
+    """Parse venue-profile JSONL, skipping and recording malformed lines; ``has_promotion`` stays False."""
     report = VenueParseReport()
-    promoted_ids = promoted_ids or set()
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise MalformedRecord(line_no, "record is not an object")
-            category = Category(obj["category"])
-            profile = VenueProfile(
-                venue_id=str(obj["venue_id"]),
-                category=category,
-                lat=float(obj["lat"]),
-                lon=float(obj["lon"]),
-                has_promotion=str(obj["venue_id"]) in promoted_ids,
-            )
-        except MalformedRecord as exc:
-            report.errors.append(ParseError(exc.line_no, exc.message))
-            continue
-        except json.JSONDecodeError as exc:
-            report.errors.append(ParseError(line_no, f"invalid JSON: {exc.msg}"))
-            continue
-        except KeyError as exc:
-            report.errors.append(ParseError(line_no, f"missing field {exc.args[0]!r}"))
-            continue
-        except (TypeError, ValueError) as exc:
-            report.errors.append(ParseError(line_no, str(exc)))
-            continue
-        report.profiles.append(profile)
+    report.profiles = list(parse_records(lines, _venue_profile, report.errors))
     return report
 
 
@@ -127,7 +108,6 @@ class UnfittablePeriod:
 class MatchReport:
     groups: list[ReferenceGroup] = field(default_factory=list)
     exhausted: list[PoolExhausted] = field(default_factory=list)
-    unfittable: list[UnfittablePeriod] = field(default_factory=list)
 
 
 def _match_cell(lat: float, lon: float, cell_deg: float) -> tuple[int, int]:

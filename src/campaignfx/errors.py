@@ -5,15 +5,6 @@ class CampaignFxError(Exception):
     """Base class for all library errors."""
 
 
-class MalformedRecord(CampaignFxError):
-    """An input record violates the expected schema."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-        self.message = message
-
-
 class InsufficientData(CampaignFxError):
     """A time series is too short for the requested operation."""
 
@@ -31,14 +22,6 @@ class IneligibleCampaign(CampaignFxError):
 
 class InsufficientSample(CampaignFxError):
     """A statistical routine needs more observations per sample."""
-
-
-class MissingSeries(CampaignFxError):
-    """No daily series is available for a venue."""
-
-    def __init__(self, venue_id: str):
-        super().__init__(venue_id)
-        self.venue_id = venue_id
 
 
 class MissingCounter(CampaignFxError):

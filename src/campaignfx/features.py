@@ -22,7 +22,7 @@ from .cohort import CATEGORIES, Category, VenueProfile
 from .effect import EffectLabel, Horizon
 from .errors import MissingCounter
 from .geo import RadiusIndex
-from .series import DAY_SECONDS, SegmentedSeries, SnapshotReading, counters_at_day
+from .series import DAY_SECONDS, SegmentedSeries, VenueSnapshots, counter_at
 
 NEIGHBORHOOD_RADIUS_MILES = 0.5
 LOYALTY_IMPUTED = 1.0  # minimum achievable return rate
@@ -75,30 +75,24 @@ class FeatureVector:
     label: Optional[EffectLabel]
 
 
-def _interp_counter(readings: Sequence[SnapshotReading], name: str, t: float) -> float:
-    ts = np.array([r.ts for r in readings], dtype=float)
-    values = np.maximum.accumulate(np.array([getattr(r, name) for r in readings], dtype=float))
-    return float(np.interp(t, ts, values))
-
-
 def extract_venue_features(
     segments: SegmentedSeries,
-    readings: Sequence[SnapshotReading],
+    snapshots: VenueSnapshots,
     origin_ts: float,
     profile: VenueProfile,
 ) -> VenueFeatures:
     """Venue features evaluated at the day before the campaign starts."""
     t_eve = origin_ts + (segments.start_day - 1) * DAY_SECONDS
-    if not readings or not readings[0].ts <= t_eve <= readings[-1].ts:
+    if not snapshots or not snapshots.ts[0] <= t_eve <= snapshots.ts[-1]:
         raise MissingCounter(f"no counter coverage at campaign eve for {profile.venue_id}")
-    counters = counters_at_day(readings, origin_ts, segments.start_day - 1)
-    loyalty = None if counters["users"] == 0 else counters["checkins"] / counters["users"]
+    checkins = counter_at(snapshots, "checkins", t_eve)
+    users = counter_at(snapshots, "users", t_eve)
     return VenueFeatures(
         m_b=float(np.mean(segments.before)),
-        c_a=counters["checkins"],
-        loyalty=loyalty,
-        likes=counters["likes"],
-        tips=counters["tips"],
+        c_a=checkins,
+        loyalty=None if users == 0 else checkins / users,
+        likes=counter_at(snapshots, "likes", t_eve),
+        tips=counter_at(snapshots, "tips", t_eve),
         category=profile.category,
     )
 
@@ -127,7 +121,7 @@ def neighborhood(
 def extract_geo_features(
     venue: VenueProfile,
     neighbors: Sequence[VenueProfile],
-    snapshots: Mapping[str, Sequence[SnapshotReading]],
+    snapshots: Mapping[str, VenueSnapshots],
     t_eve_ts: float,
 ) -> GeoFeatures:
     """Neighborhood density, popularity, competition, and type entropy.
@@ -144,9 +138,9 @@ def extract_geo_features(
     area_pop = 0.0
     type_counts = {c: 0 for c in CATEGORIES}
     for nb in sorted(neighbors, key=lambda p: p.venue_id):
-        readings = snapshots.get(nb.venue_id)
-        if readings:
-            area_pop += _interp_counter(readings, "checkins", t_eve_ts)
+        nb_snapshots = snapshots.get(nb.venue_id)
+        if nb_snapshots:
+            area_pop += counter_at(nb_snapshots, "checkins", t_eve_ts)
         type_counts[nb.category] += 1
     same_type = type_counts[venue.category]
     entropy = 0.0

@@ -36,7 +36,7 @@ from .series import (
     DailyCumulative,
     DailySeries,
     ParseError,
-    SnapshotReading,
+    VenueSnapshots,
     daily_checkins,
     interpolate_daily,
     parse_snapshots,
@@ -46,7 +46,7 @@ from .series import (
 
 @dataclass
 class LoadedCorpus:
-    snapshots: dict[str, list[SnapshotReading]]
+    snapshots: dict[str, VenueSnapshots]
     cumulative: dict[str, DailyCumulative]
     series: dict[str, DailySeries]
     raw_offers: list[RawOffer]
@@ -55,10 +55,6 @@ class LoadedCorpus:
     profiles: list[VenueProfile]
     parse_errors: list[ParseError] = field(default_factory=list)
     short_series_venues: list[str] = field(default_factory=list)
-
-    @property
-    def promoted_ids(self) -> set[str]:
-        return {p.venue_id for p in self.periods}
 
 
 def _index_offers(
@@ -77,7 +73,7 @@ def _index_offers(
 
 
 def build_corpus(
-    snapshots: dict[str, list[SnapshotReading]],
+    snapshots: dict[str, VenueSnapshots],
     raw_offers: Sequence[RawOffer],
     profiles: Sequence[VenueProfile],
     parse_errors: Optional[list[ParseError]] = None,
@@ -87,9 +83,8 @@ def build_corpus(
     series: dict[str, DailySeries] = {}
     short_series = []
     for venue_id in sorted(snapshots):
-        readings = snapshots[venue_id]
         try:
-            dc = interpolate_daily(readings)
+            dc = interpolate_daily(snapshots[venue_id])
             ds = daily_checkins(dc)
         except InsufficientData:
             short_series.append(venue_id)

@@ -1,10 +1,13 @@
 """Snapshot parsing, daily-grid interpolation, and campaign segmentation.
 
 Raw venue snapshots arrive roughly once per day but never exactly on a 24h
-cadence. This module rebuilds an exact daily grid anchored at each venue's
-first observation, first-differences the cumulative check-in counter into
-daily counts, and slices those counts into before / during / after windows
-around a campaign.
+cadence. Parsing puts each venue's polls into one ``VenueSnapshots`` record
+of float64 columns (``ts``, ``checkins``, ``users``, ``tips``, ``likes``)
+sorted by timestamp; of polls sharing a timestamp, the one that appeared
+last in the input is kept. This module then rebuilds an exact daily grid
+anchored at each venue's first observation, first-differences the
+cumulative check-in counter into daily counts, and slices those counts into
+before / during / after windows around a campaign.
 
 Day-index convention: grid point ``g`` sits at ``origin_ts + g * 86400``
 seconds. The daily value labelled day ``d`` is the accrual over the grid
@@ -17,13 +20,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import IneligibleCampaign, InsufficientData, MalformedRecord
+from .errors import IneligibleCampaign, InsufficientData
 
 DAY_SECONDS = 86400.0
 
@@ -34,11 +39,13 @@ MIN_CAMPAIGN_DAYS = 7     # minimum campaign duration
 
 _SNAPSHOT_FIELDS = ("venue_id", "ts", "checkins", "users", "specials", "tips", "likes")
 _COUNTER_FIELDS = ("checkins", "users", "specials", "tips", "likes")
+_counter_values = operator.itemgetter(*_COUNTER_FIELDS)
+_decode_prefix = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True, slots=True)
 class SnapshotReading:
-    """One API observation of a venue's cumulative counters."""
+    """One API observation of a venue's cumulative counters (a synthetic corpus row)."""
 
     venue_id: str
     ts: float  # seconds since epoch, UTC
@@ -47,6 +54,33 @@ class SnapshotReading:
     specials: int
     tips: int
     likes: int
+
+
+@dataclass(frozen=True, eq=False)
+class VenueSnapshots:
+    """One venue's snapshot polls as read-only float64 columns sorted by ``ts``."""
+
+    venue_id: str
+    ts: np.ndarray  # seconds since epoch, UTC
+    checkins: np.ndarray
+    users: np.ndarray
+    tips: np.ndarray
+    likes: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.ts, self.checkins, self.users, self.tips, self.likes):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    @classmethod
+    def from_readings(cls, venue_id: str, readings: Sequence[SnapshotReading]) -> VenueSnapshots:
+        """Columns of ``readings``, which must already be in timestamp order."""
+        return cls(venue_id, *(
+            np.array([getattr(r, name) for r in readings], dtype=float)
+            for name in ("ts", "checkins", "users", "tips", "likes")
+        ))
 
 
 @dataclass
@@ -108,9 +142,9 @@ class ParseError:
 
 @dataclass
 class ParseReport:
-    """Outcome of parsing a snapshot or offer file."""
+    """Outcome of parsing a snapshot file."""
 
-    readings: dict[str, list[SnapshotReading]] = field(default_factory=dict)
+    readings: dict[str, VenueSnapshots] = field(default_factory=dict)
     errors: list[ParseError] = field(default_factory=list)
     duplicate_timestamps: int = 0
 
@@ -121,17 +155,17 @@ class ParseReport:
 
 def parse_timestamp(raw: object) -> float:
     """ISO-8601 UTC string (or epoch seconds) -> seconds since epoch."""
+    if isinstance(raw, str):
+        text = raw.strip()
+        if text.endswith("Z"):
+            text = text[:-1] + "+00:00"
+        dt = datetime.fromisoformat(text)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.timestamp()
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return float(raw)
-    if not isinstance(raw, str):
-        raise ValueError(f"timestamp must be a string or number, got {type(raw).__name__}")
-    text = raw.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+    raise ValueError(f"timestamp must be a string or number, got {type(raw).__name__}")
 
 
 def format_timestamp(ts: float) -> str:
@@ -139,56 +173,48 @@ def format_timestamp(ts: float) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _reading_from_mapping(obj: dict, line_no: int) -> SnapshotReading:
-    try:
-        venue_id = obj["venue_id"]
-        ts = parse_timestamp(obj["ts"])
-        counters = {}
-        for name in _COUNTER_FIELDS:
-            value = obj[name]
-            counters[name] = int(value)
-            if counters[name] < 0:
-                raise ValueError(f"{name} is negative")
-    except KeyError as exc:
-        raise MalformedRecord(line_no, f"missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise MalformedRecord(line_no, str(exc)) from exc
-    if not isinstance(venue_id, str) or not venue_id:
-        raise MalformedRecord(line_no, "venue_id must be a non-empty string")
-    return SnapshotReading(venue_id=venue_id, ts=ts, **counters)
+def parse_records(
+    lines: Iterable[str], convert: Callable[[dict], object], errors: list[ParseError],
+    csv_fields: Sequence[str] = (),
+) -> Iterator:
+    """Yield ``convert`` of each JSONL record; each bad line is appended to ``errors`` and skipped.
 
-
-def parse_snapshots(lines: Iterable[str]) -> ParseReport:
-    """Parse snapshot records (JSONL, or CSV with identical column names).
-
-    Per venue, readings come back sorted by timestamp with exact-duplicate
-    timestamps collapsed to the record that appeared last in the input.
-    Malformed lines are recorded and skipped rather than aborting the parse.
+    With ``csv_fields``, lines whose first non-blank one is not a JSON object
+    are CSV under a header naming every one of ``csv_fields``. A line fails
+    when it is not a JSON object or ``convert`` raises ``KeyError`` (missing
+    field), ``TypeError`` or ``ValueError``.
     """
     lines = list(lines)
-    fmt = _sniff_format(lines)
-    report = ParseReport()
-    per_venue: dict[str, list[tuple[float, int, SnapshotReading]]] = {}
-
-    for line_no, obj in _iter_records(lines, fmt, report):
+    if csv_fields and _sniff_format(lines) == "csv":
+        records = _csv_rows(lines, csv_fields, errors)
+    else:
+        records = ((line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip())
+    for line_no, record in records:
         try:
-            reading = _reading_from_mapping(obj, line_no)
-        except MalformedRecord as exc:
-            report.errors.append(ParseError(exc.line_no, exc.message))
-            continue
-        per_venue.setdefault(reading.venue_id, []).append((reading.ts, line_no, reading))
+            if type(record) is str:  # a JSONL line; CSV rows arrive as dicts
+                record = _load_json(record)
+                if not isinstance(record, dict):
+                    raise TypeError("record is not an object")
+            value = convert(record)
+        except json.JSONDecodeError as exc:
+            errors.append(ParseError(line_no, f"invalid JSON: {exc.msg}"))
+        except KeyError as exc:
+            errors.append(ParseError(line_no, f"missing field {exc.args[0]!r}"))
+        except (TypeError, ValueError) as exc:
+            errors.append(ParseError(line_no, str(exc)))
+        else:
+            yield value
 
-    for venue_id, entries in per_venue.items():
-        entries.sort(key=lambda e: (e[0], e[1]))
-        deduped: list[SnapshotReading] = []
-        for ts, _, reading in entries:
-            if deduped and deduped[-1].ts == ts:
-                deduped[-1] = reading  # later poll supersedes
-                report.duplicate_timestamps += 1
-            else:
-                deduped.append(reading)
-        report.readings[venue_id] = deduped
-    return report
+
+def _load_json(line: str) -> object:
+    """``json.loads(line)``, through the decoder's prefix scan when the line is one whole document."""
+    try:
+        obj, end = _decode_prefix(line)
+        if end == len(line):
+            return obj
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)  # anything else: json.loads itself gives the object or the error
 
 
 def _sniff_format(lines: Sequence[str]) -> str:
@@ -199,30 +225,70 @@ def _sniff_format(lines: Sequence[str]) -> str:
     return "jsonl"
 
 
-def _iter_records(lines: Sequence[str], fmt: str, report: ParseReport):
-    if fmt == "jsonl":
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                report.errors.append(ParseError(line_no, f"invalid JSON: {exc.msg}"))
-                continue
-            if not isinstance(obj, dict):
-                report.errors.append(ParseError(line_no, "record is not an object"))
-                continue
-            yield line_no, obj
-    else:
-        reader = csv.DictReader(io.StringIO("".join(line if line.endswith("\n") else line + "\n" for line in lines)))
-        if reader.fieldnames is None or set(_SNAPSHOT_FIELDS) - set(reader.fieldnames):
-            report.errors.append(ParseError(1, "CSV header missing required columns"))
-            return
-        for line_no, row in enumerate(reader, start=2):
-            yield line_no, {k: v for k, v in row.items() if k is not None}
+def _csv_rows(lines: Sequence[str], fields: Sequence[str], errors: list[ParseError]):
+    reader = csv.DictReader(io.StringIO("".join(line if line.endswith("\n") else line + "\n" for line in lines)))
+    if reader.fieldnames is None or set(fields) - set(reader.fieldnames):
+        errors.append(ParseError(1, "CSV header missing required columns"))
+        return
+    for line_no, row in enumerate(reader, start=2):
+        yield line_no, {k: v for k, v in row.items() if k is not None}
 
 
-def interpolate_daily(readings: Sequence[SnapshotReading]) -> DailyCumulative:
+def _snapshot_row(obj: dict) -> tuple[str, tuple]:
+    """``venue_id`` and ``(ts, checkins, users, tips, likes)`` of one snapshot record."""
+    venue_id = obj["venue_id"]
+    ts = parse_timestamp(obj["ts"])
+    try:
+        c, u, s, t, l = _counter_values(obj)
+        plain = type(c) is type(u) is type(s) is type(t) is type(l) is int and min(c, u, s, t, l) >= 0
+    except KeyError:
+        plain = False
+    if not plain:
+        # field by field, so int() truncation and the first failing field decide
+        counters = []
+        for name in _COUNTER_FIELDS:
+            value = int(obj[name])
+            if value < 0:
+                raise ValueError(f"{name} is negative")
+            counters.append(value)
+        c, u, s, t, l = counters
+    if not isinstance(venue_id, str) or not venue_id:
+        raise ValueError("venue_id must be a non-empty string")
+    return venue_id, (ts, c, u, t, l)
+
+
+def parse_snapshots(lines: Iterable[str]) -> ParseReport:
+    """Parse snapshot records (JSONL, or CSV with identical column names).
+
+    Each venue gets one ``VenueSnapshots`` record sorted by timestamp. Of
+    polls with the same venue and timestamp only the one that appeared last
+    in the input is kept; each one dropped counts in
+    ``duplicate_timestamps``. Malformed lines are recorded and skipped
+    rather than aborting the parse.
+    """
+    report = ParseReport()
+    code_of: dict[str, int] = {}  # venue codes in order of first appearance
+    codes, table = array("q"), array("d")  # one code, and one row of five floats, per line
+    for venue_id, values in parse_records(lines, _snapshot_row, report.errors, _SNAPSHOT_FIELDS):
+        codes.append(code_of.setdefault(venue_id, len(code_of)))
+        table.extend(values)
+    if not codes:
+        return report
+    codes = np.frombuffer(codes, dtype=np.int64)
+    table = np.frombuffer(table, dtype=float).reshape(len(codes), 5)
+    order = np.lexsort((table[:, 0], codes))  # stable: equal timestamps stay in line order
+    codes, ts = codes[order], table[order, 0]
+    keep = np.ones(len(codes), dtype=bool)
+    keep[:-1] = (codes[1:] != codes[:-1]) | (ts[1:] != ts[:-1])  # a later poll supersedes
+    report.duplicate_timestamps = len(codes) - int(np.count_nonzero(keep))
+    columns = table[order[keep]].T.copy()
+    bounds = np.searchsorted(codes[keep], np.arange(len(code_of) + 1)).tolist()
+    for venue_id, lo, hi in zip(code_of, bounds, bounds[1:]):
+        report.readings[venue_id] = VenueSnapshots(venue_id, *(column[lo:hi] for column in columns))
+    return report
+
+
+def interpolate_daily(snapshots: VenueSnapshots) -> DailyCumulative:
     """Linearly interpolate cumulative check-ins onto the venue's 24h grid.
 
     The grid is anchored at the first reading and never extrapolates beyond
@@ -230,10 +296,10 @@ def interpolate_daily(readings: Sequence[SnapshotReading]) -> DailyCumulative:
     clamped to the running maximum; each decreasing raw pair increments
     ``anomaly_count``.
     """
-    if len(readings) < 2:
+    if len(snapshots) < 2:
         raise InsufficientData("need at least 2 readings to interpolate")
-    ts = np.array([r.ts for r in readings], dtype=float)
-    raw = np.array([r.checkins for r in readings], dtype=float)
+    ts = snapshots.ts
+    raw = snapshots.checkins
     anomalies = int(np.count_nonzero(np.diff(raw) < 0))
     clamped = np.maximum.accumulate(raw)
 
@@ -242,7 +308,7 @@ def interpolate_daily(readings: Sequence[SnapshotReading]) -> DailyCumulative:
     grid = origin + DAY_SECONDS * np.arange(n_days)
     values = np.interp(grid, ts, clamped)
     return DailyCumulative(
-        venue_id=readings[0].venue_id,
+        venue_id=snapshots.venue_id,
         origin_ts=origin,
         values=values,
         anomaly_count=anomalies,
@@ -260,22 +326,14 @@ def daily_checkins(dc: DailyCumulative) -> DailySeries:
     )
 
 
-def counters_at_day(readings: Sequence[SnapshotReading], origin_ts: float, day: int) -> dict[str, float]:
-    """Interpolate every cumulative counter at grid day ``day``.
+def counter_at(snapshots: VenueSnapshots, name: str, t: float) -> float:
+    """Cumulative counter ``name`` (``checkins``, ``users``, ``tips`` or ``likes``) at time ``t``.
 
-    Counters are clamped monotone first (counters never truly decrease).
-    Requests outside the observation span clamp to the nearest endpoint,
-    which keeps neighborhood aggregates total.
+    The counter is clamped monotone first (counters never truly decrease).
+    Times outside the observation span clamp to the nearest endpoint, which
+    keeps neighborhood aggregates total.
     """
-    if not readings:
-        raise InsufficientData("no readings")
-    t = origin_ts + day * DAY_SECONDS
-    ts = np.array([r.ts for r in readings], dtype=float)
-    out = {}
-    for name in ("checkins", "users", "tips", "likes"):
-        series = np.maximum.accumulate(np.array([getattr(r, name) for r in readings], dtype=float))
-        out[name] = float(np.interp(t, ts, series))
-    return out
+    return float(np.interp(t, snapshots.ts, np.maximum.accumulate(getattr(snapshots, name))))
 
 
 def segment(

@@ -22,7 +22,7 @@ from .campaign import OFFER_KINDS, RawOffer
 from .cohort import CATEGORIES, VenueProfile
 from .errors import InvalidConfig
 from .rng import derive_rng
-from .series import DAY_SECONDS, SnapshotReading, format_timestamp, parse_timestamp
+from .series import DAY_SECONDS, SnapshotReading, VenueSnapshots, format_timestamp, parse_timestamp
 
 WEEK_DAYS = 7.0
 
@@ -110,8 +110,11 @@ class SynthCorpus:
     ground_truth: list[PlantedEffect]
 
     @property
-    def snapshots(self) -> dict[str, list[SnapshotReading]]:
-        return {v.profile.venue_id: v.readings for v in self.venues}
+    def snapshots(self) -> dict[str, VenueSnapshots]:
+        return {
+            v.profile.venue_id: VenueSnapshots.from_readings(v.profile.venue_id, v.readings)
+            for v in self.venues
+        }
 
     @property
     def offers(self) -> list[RawOffer]:

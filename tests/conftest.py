@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from campaignfx.series import DailySeries
+from campaignfx.series import DailySeries, VenueSnapshots
 
 settings.register_profile(
     "ci",
@@ -20,6 +20,13 @@ def make_series(values, venue_id="v0", origin_day=0) -> DailySeries:
         origin_day=origin_day,
         values=np.asarray(values, dtype=float),
     )
+
+
+def make_snapshots(ts, checkins, users=None, tips=None, likes=None, venue_id="v1") -> VenueSnapshots:
+    """Columnar snapshots of one venue; counters left out are all zero."""
+    zeros = [0] * len(ts)
+    columns = (ts, checkins, users or zeros, tips or zeros, likes or zeros)
+    return VenueSnapshots(venue_id, *(np.asarray(c, dtype=float) for c in columns))
 
 
 @pytest.fixture

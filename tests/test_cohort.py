@@ -246,9 +246,8 @@ class TestParseVenues:
         import json
 
         line = json.dumps({"venue_id": "v1", "lat": 40.4, "lon": -80.0, "category": "Food"})
-        report = parse_venues([line], promoted_ids={"v1"})
+        report = parse_venues([line])
         assert report.profiles[0].category is Category.FOOD
-        assert report.profiles[0].has_promotion
 
     def test_bad_category_recorded(self):
         import json

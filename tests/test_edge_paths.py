@@ -1,15 +1,18 @@
 """Edge paths not covered by the per-module suites."""
 
+import json
+
 import numpy as np
 import pytest
 
-from campaignfx.cohort import Category, VenueProfile
+from campaignfx.campaign import parse_offers
+from campaignfx.cohort import Category, VenueProfile, parse_venues
 from campaignfx.config import RunConfig
 from campaignfx.effect import bootstrap_power, bootstrap_test
 from campaignfx.geo import RadiusIndex, haversine_miles
 from campaignfx.pipeline import load_corpus, segment_stage
 from campaignfx.rng import derive_rng
-from campaignfx.series import segment
+from campaignfx.series import parse_snapshots, segment
 from campaignfx.synth import SynthConfig, generate_corpus_data
 
 from conftest import make_series
@@ -99,3 +102,51 @@ class TestCsvSnapshotCorpus:
         assert csv_loaded.periods == jsonl_loaded.periods
         for venue_id, ds in jsonl_loaded.series.items():
             assert np.array_equal(csv_loaded.series[venue_id].values, ds.values)
+
+
+def _edited(obj, **changes):
+    """JSON line of ``obj`` with fields replaced; ``...`` removes one."""
+    obj = dict(obj)
+    for name, value in changes.items():
+        if value is ...:
+            del obj[name]
+        else:
+            obj[name] = value
+    return json.dumps(obj)
+
+
+_SNAPSHOT = {"venue_id": "v1", "ts": "2012-10-22T00:00:00Z", "checkins": 1, "users": 1,
+             "specials": 0, "tips": 0, "likes": 0}
+_OFFER = {"venue_id": "v1", "special_id": "s1", "type": "Flash", "start": "2012-10-22", "end": "2012-10-29"}
+_VENUE = {"venue_id": "v1", "lat": 40.0, "lon": -80.0, "category": "Food"}
+_SHARED_ERRORS = [
+    (2, "invalid JSON: Expecting property name enclosed in double quotes"),
+    (3, "record is not an object"),
+]
+
+
+class TestParseErrorLadder:
+    """All three JSONL parsers skip blank lines and word each failure the same way."""
+
+    @pytest.mark.parametrize("parse, good, bad_lines, errors", [
+        (parse_snapshots, _SNAPSHOT,
+         [_edited(_SNAPSHOT, users=...), _edited(_SNAPSHOT, tips="x"),
+          _edited(_SNAPSHOT, venue_id=""), _edited(_SNAPSHOT, ts=None)],
+         [(6, "missing field 'users'"), (7, "invalid literal for int() with base 10: 'x'"),
+          (8, "venue_id must be a non-empty string"),
+          (9, "timestamp must be a string or number, got NoneType")]),
+        (parse_offers, _OFFER,
+         [_edited(_OFFER, special_id=...), _edited(_OFFER, type="Bogus"),
+          _edited(_OFFER, end="2012-10-01"), _edited(_OFFER, start=[1])],
+         [(6, "missing field 'special_id'"), (7, "unknown offer type 'Bogus'"),
+          (8, "offer ends before it starts"), (9, "timestamp must be a string or number, got list")]),
+        (parse_venues, _VENUE,
+         [_edited(_VENUE, lat=...), _edited(_VENUE, category="Bowling"),
+          _edited(_VENUE, lat=91.0), _edited(_VENUE, lon="east")],
+         [(6, "missing field 'lat'"), (7, "'Bowling' is not a valid Category"),
+          (8, "latitude 91.0 out of range"), (9, "could not convert string to float: 'east'")]),
+    ], ids=["snapshots", "offers", "venues"])
+    def test_line_numbers_and_messages(self, parse, good, bad_lines, errors):
+        lines = ["", "{not json", "[1, 2]", "   ", json.dumps(good)] + bad_lines
+        report = parse(lines)
+        assert [(e.line_no, e.message) for e in report.errors] == _SHARED_ERRORS + errors

@@ -23,13 +23,11 @@ from campaignfx.features import (
     write_features_csv,
 )
 from campaignfx.geo import RadiusIndex
-from campaignfx.series import SegmentedSeries, SnapshotReading
+from campaignfx.series import SegmentedSeries
+
+from conftest import make_snapshots
 
 DAY = 86400.0
-
-
-def reading(ts, checkins, users=0, tips=0, likes=0, venue_id="v1"):
-    return SnapshotReading(venue_id, ts, checkins, users, 0, tips, likes)
 
 
 def segments(start=30, end=40, before_value=2.0):
@@ -51,33 +49,30 @@ def profile(venue_id="v1", category=Category.FOOD, lat=40.0, lon=-80.0):
 
 
 class TestVenueFeatures:
-    def base_readings(self):
-        return [
-            reading(0.0, 0, users=0, tips=0, likes=0),
-            reading(60 * DAY, 120, users=48, tips=12, likes=30),
-        ]
+    def base_snapshots(self):
+        return make_snapshots([0.0, 60 * DAY], [0, 120], users=[0, 48], tips=[0, 12], likes=[0, 30])
 
     def test_constant_before_mean(self):
-        f = extract_venue_features(segments(before_value=2.0), self.base_readings(), 0.0, profile())
+        f = extract_venue_features(segments(before_value=2.0), self.base_snapshots(), 0.0, profile())
         assert f.m_b == pytest.approx(2.0)
 
     def test_loyalty_arithmetic(self):
         # counters grow linearly: at day 29 c_a = 58, p_a = 23.2 -> ratio 2.5
-        f = extract_venue_features(segments(), self.base_readings(), 0.0, profile())
+        f = extract_venue_features(segments(), self.base_snapshots(), 0.0, profile())
         assert f.loyalty == pytest.approx(f.c_a / (f.c_a / 2.5))
         assert f.c_a == pytest.approx(58.0)
 
     def test_zero_users_loyalty_missing(self):
-        readings = [reading(0.0, 0), reading(60 * DAY, 50)]
-        f = extract_venue_features(segments(), readings, 0.0, profile())
+        snaps = make_snapshots([0.0, 60 * DAY], [0, 50])
+        f = extract_venue_features(segments(), snaps, 0.0, profile())
         assert f.loyalty is None
         assert f.loyalty_imputed == 1.0
         assert f.loyalty_missing == 1.0
 
     def test_counters_must_cover_campaign_eve(self):
-        readings = [reading(0.0, 0), reading(10 * DAY, 5)]
+        snaps = make_snapshots([0.0, 10 * DAY], [0, 5])
         with pytest.raises(MissingCounter):
-            extract_venue_features(segments(start=30), readings, 0.0, profile())
+            extract_venue_features(segments(start=30), snaps, 0.0, profile())
 
 
 class TestPromoFeatures:
@@ -150,8 +145,8 @@ class TestGeoFeatures:
     def test_area_pop_sums_neighbor_counters(self):
         nbrs = [profile("a"), profile("b")]
         snaps = {
-            "a": [reading(0.0, 0, venue_id="a"), reading(2 * DAY, 10, venue_id="a")],
-            "b": [reading(0.0, 4, venue_id="b"), reading(2 * DAY, 4, venue_id="b")],
+            "a": make_snapshots([0.0, 2 * DAY], [0, 10], venue_id="a"),
+            "b": make_snapshots([0.0, 2 * DAY], [4, 4], venue_id="b"),
         }
         f = extract_geo_features(profile("v"), nbrs, snaps, DAY)
         assert f.area_pop == pytest.approx(5.0 + 4.0)

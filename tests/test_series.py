@@ -1,28 +1,28 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from campaignfx.errors import IneligibleCampaign, InsufficientData
 from campaignfx.series import (
     DailyCumulative,
     SnapshotReading,
-    counters_at_day,
+    counter_at,
     daily_checkins,
+    format_timestamp,
     interpolate_daily,
     parse_snapshots,
+    parse_timestamp,
     segment,
 )
 
-from conftest import make_series
+from conftest import make_series, make_snapshots
 
 HOUR = 3600.0
-
-
-def reading(venue_id, ts, checkins, users=0, specials=0, tips=0, likes=0):
-    return SnapshotReading(venue_id, float(ts), checkins, users, specials, tips, likes)
 
 
 def snapshot_line(venue_id="v1", ts="2012-10-22T00:00:00Z", checkins=0, **kw):
@@ -40,9 +40,9 @@ class TestParseSnapshots:
         ]
         report = parse_snapshots(lines)
         assert report.error_count == 0
-        readings = report.readings["v1"]
-        assert [r.checkins for r in readings] == [3, 5]
-        assert readings[0].ts < readings[1].ts
+        snaps = report.readings["v1"]
+        assert list(snaps.checkins) == [3, 5]
+        assert snaps.ts[0] < snaps.ts[1]
 
     def test_duplicate_timestamp_keeps_last(self):
         lines = [
@@ -50,7 +50,7 @@ class TestParseSnapshots:
             snapshot_line(checkins=7),
         ]
         report = parse_snapshots(lines)
-        assert [r.checkins for r in report.readings["v1"]] == [7]
+        assert list(report.readings["v1"].checkins) == [7]
         assert report.duplicate_timestamps == 1
 
     def test_missing_field_skips_line_keeps_others(self):
@@ -79,47 +79,39 @@ class TestParseSnapshots:
         ]
         report = parse_snapshots(lines)
         assert report.error_count == 0
-        assert [r.checkins for r in report.readings["v1"]] == [3, 5]
+        assert list(report.readings["v1"].checkins) == [3, 5]
 
 
 class TestInterpolateDaily:
     def test_hand_linear_interpolation(self):
         # 10 check-ins at t=0h, 20 at t=25h: the 24h grid point interpolates
         # to 10 + 24/25 * 10 = 19.6
-        readings = [reading("v1", 0.0, 10), reading("v1", 25 * HOUR, 20)]
-        dc = interpolate_daily(readings)
+        dc = interpolate_daily(make_snapshots([0.0, 25 * HOUR], [10, 20]))
         assert dc.origin_ts == 0.0
         assert np.allclose(dc.values, [10.0, 19.6])
         assert dc.anomaly_count == 0
 
     def test_identity_on_exact_grid(self):
-        readings = [reading("v1", i * 86400.0, c) for i, c in enumerate([0, 4, 9, 9, 15])]
-        dc = interpolate_daily(readings)
+        dc = interpolate_daily(make_snapshots([i * 86400.0 for i in range(5)], [0, 4, 9, 9, 15]))
         assert np.array_equal(dc.values, [0, 4, 9, 9, 15])
 
     def test_decrease_clamped_and_counted(self):
-        readings = [
-            reading("v1", 0.0, 10),
-            reading("v1", 86400.0, 8),
-            reading("v1", 2 * 86400.0, 12),
-        ]
-        dc = interpolate_daily(readings)
+        dc = interpolate_daily(make_snapshots([0.0, 86400.0, 2 * 86400.0], [10, 8, 12]))
         assert np.array_equal(dc.values, [10, 10, 12])
         assert dc.anomaly_count == 1
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            interpolate_daily([reading("v1", 0.0, 1)])
+            interpolate_daily(make_snapshots([0.0], [1]))
 
     def test_no_extrapolation_beyond_last_reading(self):
-        readings = [reading("v1", 0.0, 0), reading("v1", 86400.0 * 2.5, 10)]
-        dc = interpolate_daily(readings)
+        dc = interpolate_daily(make_snapshots([0.0, 86400.0 * 2.5], [0, 10]))
         assert len(dc.values) == 3  # grid days 0, 1, 2 only
 
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=2, max_size=40))
     def test_anomaly_count_matches_raw_decreases(self, counts):
-        readings = [reading("v1", i * 86400.0 + (i % 3) * HOUR, c) for i, c in enumerate(counts)]
-        dc = interpolate_daily(readings)
+        ts = [i * 86400.0 + (i % 3) * HOUR for i in range(len(counts))]
+        dc = interpolate_daily(make_snapshots(ts, counts))
         expected = sum(1 for a, b in zip(counts, counts[1:]) if b < a)
         assert dc.anomaly_count == expected
         assert np.all(np.diff(dc.values) >= 0)
@@ -214,12 +206,204 @@ class TestSegment:
 
 class TestCountersAtDay:
     def test_interpolates_all_counters(self):
-        readings = [
-            reading("v1", 0.0, 0, users=0, tips=0, likes=0),
-            reading("v1", 2 * 86400.0, 10, users=4, tips=2, likes=6),
-        ]
-        c = counters_at_day(readings, 0.0, 1)
-        assert c["checkins"] == pytest.approx(5.0)
-        assert c["users"] == pytest.approx(2.0)
-        assert c["tips"] == pytest.approx(1.0)
-        assert c["likes"] == pytest.approx(3.0)
+        snaps = make_snapshots([0.0, 2 * 86400.0], [0, 10], users=[0, 4], tips=[0, 2], likes=[0, 6])
+        t = 1 * 86400.0  # grid day 1 of a venue first polled at 0
+        assert counter_at(snaps, "checkins", t) == pytest.approx(5.0)
+        assert counter_at(snaps, "users", t) == pytest.approx(2.0)
+        assert counter_at(snaps, "tips", t) == pytest.approx(1.0)
+        assert counter_at(snaps, "likes", t) == pytest.approx(3.0)
+
+
+# --- Reference row parser: one frozen reading per line, sorted and deduped per venue in Python.
+
+_ORACLE_FIELDS = ("venue_id", "ts", "checkins", "users", "specials", "tips", "likes")
+_ORACLE_COUNTERS = ("checkins", "users", "specials", "tips", "likes")
+
+
+class _OracleMalformed(Exception):
+    def __init__(self, line_no, message):
+        super().__init__(message)
+        self.line_no = line_no
+        self.message = message
+
+
+def _oracle_reading(obj, line_no):
+    try:
+        venue_id = obj["venue_id"]
+        ts = parse_timestamp(obj["ts"])
+        counters = {}
+        for name in _ORACLE_COUNTERS:
+            counters[name] = int(obj[name])
+            if counters[name] < 0:
+                raise ValueError(f"{name} is negative")
+    except KeyError as exc:
+        raise _OracleMalformed(line_no, f"missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise _OracleMalformed(line_no, str(exc)) from exc
+    if not isinstance(venue_id, str) or not venue_id:
+        raise _OracleMalformed(line_no, "venue_id must be a non-empty string")
+    return SnapshotReading(venue_id=venue_id, ts=ts, **counters)
+
+
+def _oracle_records(lines, errors):
+    first = next((line.strip() for line in lines if line.strip()), "{")
+    if first.startswith("{"):
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                errors.append((line_no, f"invalid JSON: {exc.msg}"))
+                continue
+            if not isinstance(obj, dict):
+                errors.append((line_no, "record is not an object"))
+                continue
+            yield line_no, obj
+    else:
+        reader = csv.DictReader(io.StringIO("".join(line if line.endswith("\n") else line + "\n" for line in lines)))
+        if reader.fieldnames is None or set(_ORACLE_FIELDS) - set(reader.fieldnames):
+            errors.append((1, "CSV header missing required columns"))
+            return
+        for line_no, row in enumerate(reader, start=2):
+            yield line_no, {k: v for k, v in row.items() if k is not None}
+
+
+def oracle_parse(lines):
+    """(errors, duplicate count, {venue_id: [SnapshotReading]}) of the row parser."""
+    errors, per_venue, duplicates = [], {}, 0
+    for line_no, obj in _oracle_records(lines, errors):
+        try:
+            reading = _oracle_reading(obj, line_no)
+        except _OracleMalformed as exc:
+            errors.append((exc.line_no, exc.message))
+            continue
+        per_venue.setdefault(reading.venue_id, []).append((reading.ts, line_no, reading))
+    readings = {}
+    for venue_id, entries in per_venue.items():
+        entries.sort(key=lambda e: (e[0], e[1]))
+        deduped = []
+        for ts, _, reading in entries:
+            if deduped and deduped[-1].ts == ts:
+                deduped[-1] = reading
+                duplicates += 1
+            else:
+                deduped.append(reading)
+        readings[venue_id] = deduped
+    return errors, duplicates, readings
+
+
+# Several spellings of a few instants, so equal timestamps arrive out of order and in mixed forms.
+_TIMESTAMPS = st.one_of(
+    st.sampled_from([
+        "2012-10-22T00:00:00Z", "2012-10-22T02:00:00+02:00", "2012-10-21T19:00:00-05:00",
+        "2012-10-22T12:00:00Z", "2012-10-23T00:00:00+00:00", "2012-10-23T00:00:00",
+        "2012-10-22T00:00:00.500Z", " 2012-10-24T00:00:00Z ",
+    ]),
+    st.integers(min_value=0, max_value=12).map(lambda k: 1350864000 + 21600 * k),
+)
+# Values that convert (epoch numbers, bools, floats int() truncates, numeric strings) ...
+_ODD = {
+    "venue_id": st.sampled_from(["v1", "v2", "v3"]),
+    "ts": st.sampled_from([1350864000, 1350864000.0, 1350907200.5, 0, 0.0, -0.0, -1.5]),
+    "counter": st.sampled_from([True, False, 2.0, 3.7, -0.5, -0.0, "4", " 7 ", 2**53 + 1, 2**60]),
+}
+# ... and values that do not.
+_BAD = {
+    "venue_id": st.sampled_from(["", 7, None, ["v1"], True]),
+    "ts": st.sampled_from(["yesterday", "", "2012-13-01T00:00:00Z", None, True, [1]]),
+    "counter": st.sampled_from([-1, -3, -1.0, "x", "2.5", "", None, [], {}]),
+}
+
+
+@st.composite
+def _snapshot_objects(draw):
+    obj = {
+        "venue_id": draw(_ODD["venue_id"]),
+        "ts": draw(_TIMESTAMPS),
+        **{name: draw(st.integers(min_value=0, max_value=50)) for name in _ORACLE_COUNTERS},
+    }
+    for name in draw(st.lists(st.sampled_from(_ORACLE_FIELDS), max_size=2)):
+        kind = draw(st.sampled_from(["missing", "odd", "odd", "bad"]))
+        if kind == "missing":
+            obj.pop(name, None)
+        else:
+            obj[name] = draw((_ODD if kind == "odd" else _BAD)[name if name in _ODD else "counter"])
+    return obj
+
+
+_JSONL_LINES = st.lists(
+    st.one_of(
+        _snapshot_objects().map(json.dumps),
+        _snapshot_objects().map(json.dumps),
+        _snapshot_objects().map(json.dumps),
+        st.tuples(st.sampled_from(["", " ", "\ufeff"]), _snapshot_objects().map(json.dumps),
+                  st.sampled_from(["", "\t ", " x", "{}", "]"])).map("".join),
+        st.sampled_from(["", "   ", "{not json", "[1, 2]", "3", '"text"', "null", "{}"]),
+    ),
+    max_size=40,
+)
+
+
+def _csv_cell(value):
+    return "" if value is None else str(value)
+
+
+@st.composite
+def _csv_lines(draw):
+    header = list(_ORACLE_FIELDS)
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        header.remove(draw(st.sampled_from(_ORACLE_FIELDS)))
+    lines = [",".join(header)]
+    for obj in draw(st.lists(_snapshot_objects(), max_size=40)):
+        if type(obj.get("ts")) is int and draw(st.booleans()):
+            obj["ts"] = format_timestamp(obj["ts"])  # an epoch string is not a CSV timestamp
+        cells = [_csv_cell(obj.get(name)) for name in header]
+        shape = draw(st.integers(min_value=0, max_value=9))
+        if shape == 0:
+            cells = cells[:-2]  # short row: the last columns read as None
+        elif shape == 1:
+            cells.append("extra")
+        elif shape == 2:
+            lines.append("")
+        lines.append(",".join(cells))
+    return lines
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestColumnarParseMatchesRowParser:
+    def _check(self, lines):
+        errors, duplicates, expected = oracle_parse(lines)
+        report = parse_snapshots(lines)
+        assert [(e.line_no, e.message) for e in report.errors] == errors
+        assert report.duplicate_timestamps == duplicates
+        assert list(report.readings) == list(expected)
+        for venue_id, readings in expected.items():
+            snaps = report.readings[venue_id]
+            assert snaps.venue_id == venue_id
+            for name in ("ts", "checkins", "users", "tips", "likes"):
+                column = getattr(snaps, name)
+                assert column.dtype == np.float64
+                assert column.tobytes() == _bits([getattr(r, name) for r in readings]), name
+
+    @settings(max_examples=300)
+    @given(_JSONL_LINES)
+    def test_jsonl(self, lines):
+        self._check(lines)
+
+    @settings(max_examples=150)
+    @given(_csv_lines())
+    def test_csv(self, lines):
+        self._check(lines)
+
+    def test_empty_input(self):
+        report = parse_snapshots([])
+        assert (report.readings, report.errors, report.duplicate_timestamps) == ({}, [], 0)
+
+    def test_columns_read_only(self):
+        snaps = parse_snapshots([snapshot_line(checkins=3)]).readings["v1"]
+        with pytest.raises(ValueError):
+            snaps.checkins[0] = 9.0

@@ -91,8 +91,8 @@ class TestGenerateCorpus:
 
     def test_no_anomalies_on_synthetic_data(self):
         corpus = generate_corpus_data(small_config())
-        for venue in corpus.venues:
-            assert interpolate_daily(venue.readings).anomaly_count == 0
+        for snapshots in corpus.snapshots.values():
+            assert interpolate_daily(snapshots).anomaly_count == 0
 
     def test_offers_merge_to_single_planted_period(self):
         corpus = generate_corpus_data(small_config(effect_multiplier=0.5))
@@ -116,8 +116,9 @@ class TestGenerateCorpus:
     def test_exact_daily_recovery_without_jitter(self):
         cfg = small_config(poll_jitter_hours=0.0)
         corpus = generate_corpus_data(cfg)
+        snapshots = corpus.snapshots
         for venue in corpus.venues[:10]:
-            ds = daily_checkins(interpolate_daily(venue.readings))
+            ds = daily_checkins(interpolate_daily(snapshots[venue.profile.venue_id]))
             assert np.array_equal(ds.values, venue.daily)
 
     def test_lines_parse_through_real_parsers(self):
