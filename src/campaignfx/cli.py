@@ -5,19 +5,25 @@ Subcommands mirror the pipeline stages: ``synth`` builds a seeded corpus,
 builds reference groups, ``features``/``train`` produce the learning
 artifacts, and ``report`` aggregates everything into ``report.json``.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error. Artifacts written by
-a failing command are removed.
+Each command computes all of its artifacts before any is saved, and
+``write_artifacts`` saves them together. Exit codes: 0 success, 1 validation
+error, 2 I/O error. A failing command adds no artifacts and leaves existing
+ones as they were.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .campaign import offer_stats
+from .campaign import EligibilityReport, offer_stats
+from .cohort import parse_venues
 from .config import RunConfig, build_run_config
 from .errors import CampaignFxError, InvalidConfig
 from .pipeline import (
@@ -39,41 +45,33 @@ from .features import read_features_csv, write_features_csv
 from .report import build_report, feature_auc_csv, render_report, train_models
 from .synth import SynthConfig, generate_corpus_data
 
-_KNOB_FLAGS = (
-    ("alpha", float),
-    ("bootstraps", int),
-    ("block_len", int),
-    ("power_min", float),
-    ("k", int),
-    ("w_max", int),
-    ("min_duration", int),
-    ("radius_miles", float),
-    ("grid_deg", float),
-    ("n_groups", int),
-    ("folds", int),
-    ("seed", int),
-    ("jobs", int),
-)
+# every knob but horizon is a number flag of its default's type
+_KNOB_FLAGS = tuple((f.name, type(f.default)) for f in fields(RunConfig) if f.name != "horizon")
+
+Artifacts = dict[str, str]  # artifact file name -> its text
 
 
-class ArtifactSink:
-    """Tracks written artifacts so a failing command leaves nothing behind."""
+def write_artifacts(out: Path, artifacts: Artifacts) -> None:
+    """Save every artifact under ``out``, or none of them.
 
-    def __init__(self):
-        self.paths: list[Path] = []
-
-    def write(self, path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        self.paths.append(path)
-        print(f"wrote {path}")
-
-    def cleanup(self) -> None:
-        for path in self.paths:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    Each text first goes to a temporary sibling; only when all are written
+    does each replace its target. Temporaries left by a failure are removed.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    staged = []
+    try:
+        for name, text in artifacts.items():
+            tmp, path = out / f".{name}.tmp", out / name
+            if path.is_dir():  # the one target a replace would still refuse
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            staged.append((tmp, path))
+            tmp.write_text(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            print(f"wrote {path}")
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -83,10 +81,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon", choices=("short", "long", "both"), default=None)
 
 
+def _add_corpus_flags(parser: argparse.ArgumentParser, venues: bool = False) -> None:
+    parser.add_argument("--snapshots", type=Path, required=True)
+    parser.add_argument("--offers", type=Path, required=True)
+    if venues:
+        parser.add_argument("--venues", type=Path, required=True)
+
+
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    file_text = None
-    if args.config is not None:
-        file_text = args.config.read_text()
+    file_text = args.config.read_text() if args.config is not None else None
     overrides = {name: getattr(args, name) for name, _ in _KNOB_FLAGS}
     overrides["horizon"] = args.horizon
     return build_run_config(file_text=file_text, overrides=overrides)
@@ -96,11 +99,19 @@ def _read_lines(path: Path) -> list[str]:
     return path.read_text().splitlines()
 
 
-def _load_inputs(args: argparse.Namespace, with_venues: bool = False) -> LoadedCorpus:
-    snapshot_lines = _read_lines(args.snapshots)
-    offer_lines = _read_lines(args.offers)
-    venue_lines = _read_lines(args.venues) if with_venues and args.venues else None
-    corpus = load_corpus(snapshot_lines, offer_lines, venue_lines)
+def _stage_inputs(
+    args: argparse.Namespace, venues_required: Optional[str] = None
+) -> tuple[RunConfig, LoadedCorpus, EligibilityReport]:
+    """Config, loaded corpus and eligibility report of a corpus-reading command.
+
+    With ``venues_required`` (the error message), the venues file is loaded
+    too and must yield at least one profile.
+    """
+    config = _run_config(args)
+    lines = [_read_lines(args.snapshots), _read_lines(args.offers)]
+    if venues_required:
+        lines.append(_read_lines(args.venues))
+    corpus = load_corpus(*lines)
     if corpus.parse_errors:
         first = corpus.parse_errors[0]
         print(
@@ -108,10 +119,12 @@ def _load_inputs(args: argparse.Namespace, with_venues: bool = False) -> LoadedC
             f"(first: line {first.line_no}: {first.message})",
             file=sys.stderr,
         )
-    return corpus
+    if venues_required and not corpus.profiles:
+        raise InvalidConfig(venues_required)
+    return config, corpus, segment_stage(corpus, config)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> Artifacts:
     cfg = SynthConfig(
         n_venues=args.venues,
         days=args.days,
@@ -127,24 +140,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
         venue_prefix=args.venue_prefix,
     )
     corpus = generate_corpus_data(cfg)
-    sink = ArtifactSink()
-    out = args.out
-    try:
-        sink.write(out / "snapshots.jsonl", "\n".join(corpus.snapshot_lines()) + "\n")
-        sink.write(out / "offers.jsonl", "\n".join(corpus.offer_lines()) + "\n")
-        sink.write(out / "venues.jsonl", "\n".join(corpus.venue_lines()) + "\n")
-        lines = corpus.ground_truth_lines()
-        sink.write(out / "ground_truth.jsonl", ("\n".join(lines) + "\n") if lines else "")
-    except BaseException:
-        sink.cleanup()
-        raise
-    return 0
+    truth = corpus.ground_truth_lines()
+    return {
+        "snapshots.jsonl": "\n".join(corpus.snapshot_lines()) + "\n",
+        "offers.jsonl": "\n".join(corpus.offer_lines()) + "\n",
+        "venues.jsonl": "\n".join(corpus.venue_lines()) + "\n",
+        "ground_truth.jsonl": ("\n".join(truth) + "\n") if truth else "",
+    }
 
 
-def cmd_segment(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    corpus = _load_inputs(args)
-    eligibility = segment_stage(corpus, config)
+def cmd_segment(args: argparse.Namespace) -> Artifacts:
+    config, corpus, eligibility = _stage_inputs(args)
     stats = offer_stats(corpus.periods)
     stats_payload = {
         "kind_counts": stats.kind_counts,
@@ -152,79 +158,50 @@ def cmd_segment(args: argparse.Namespace) -> int:
         "duration_ecdf": {k: [[d, f] for d, f in points]
                           for k, points in stats.duration_ecdf.items()},
     }
-    sink = ArtifactSink()
-    try:
-        sink.write(args.out / "campaigns.csv", write_campaigns_csv(eligibility))
-        sink.write(args.out / "skipped.csv", write_skipped_csv(eligibility))
-        sink.write(args.out / "offer_stats.json",
-                   json.dumps(stats_payload, sort_keys=True, indent=2) + "\n")
-    except BaseException:
-        sink.cleanup()
-        raise
     print(f"eligible campaigns: {len(eligibility.eligible)}, skipped: {len(eligibility.skipped)}")
-    return 0
+    return {
+        "campaigns.csv": write_campaigns_csv(eligibility),
+        "skipped.csv": write_skipped_csv(eligibility),
+        "offer_stats.json": render_report(stats_payload),
+    }
 
 
-def cmd_test(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    corpus = _load_inputs(args)
-    eligibility = segment_stage(corpus, config)
+def cmd_test(args: argparse.Namespace) -> Artifacts:
+    config, corpus, eligibility = _stage_inputs(args)
     groups = read_groups_csv(args.groups.read_text()) if args.groups else None
     effects = test_stage(corpus, eligibility, config)
-    sink = ArtifactSink()
-    try:
-        sink.write(args.out / "effects.csv", write_effects_csv(effects))
-        if groups is not None:
-            reference = reference_test_stage(corpus, groups, config)
-            sink.write(args.out / "reference_effects.csv", write_effects_csv(reference))
-    except BaseException:
-        sink.cleanup()
-        raise
+    artifacts = {"effects.csv": write_effects_csv(effects)}
+    if groups is not None:
+        artifacts["reference_effects.csv"] = write_effects_csv(reference_test_stage(corpus, groups, config))
     print(f"tested {len(effects)} campaign windows")
-    return 0
+    return artifacts
 
 
-def cmd_match(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    corpus = _load_inputs(args, with_venues=True)
-    if not corpus.profiles:
-        raise InvalidConfig("matching requires a venues file with profiles")
-    eligibility = segment_stage(corpus, config)
+def cmd_match(args: argparse.Namespace) -> Artifacts:
+    config, corpus, eligibility = _stage_inputs(
+        args, venues_required="matching requires a venues file with profiles"
+    )
     result = match_stage(corpus, eligibility, config)
-    sink = ArtifactSink()
-    try:
-        sink.write(args.out / "groups.csv", write_groups_csv(result.groups))
-    except BaseException:
-        sink.cleanup()
-        raise
     filled = sum(len(g.members) for g in result.groups)
     print(
         f"groups: {len(result.groups)}, members: {filled}, "
         f"exhausted slots: {result.exhausted_count}, unfittable: {result.unfittable_count}, "
         f"zero-activity removed: {result.zero_removed}"
     )
-    return 0
+    return {"groups.csv": write_groups_csv(result.groups)}
 
 
-def cmd_features(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    corpus = _load_inputs(args, with_venues=True)
-    if not corpus.profiles:
-        raise InvalidConfig("feature extraction requires a venues file")
-    eligibility = segment_stage(corpus, config)
+def cmd_features(args: argparse.Namespace) -> Artifacts:
+    config, corpus, eligibility = _stage_inputs(
+        args, venues_required="feature extraction requires a venues file"
+    )
     effects = read_effects_csv(args.effects.read_text())
     rows = features_stage(corpus, eligibility, effects, config)
-    sink = ArtifactSink()
-    try:
-        sink.write(args.out / "features.csv", write_features_csv(rows))
-    except BaseException:
-        sink.cleanup()
-        raise
     print(f"extracted {len(rows)} feature rows")
-    return 0
+    return {"features.csv": write_features_csv(rows)}
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> Artifacts:
     config = _run_config(args)
     rows = read_features_csv(args.features.read_text())
     metrics, gaps = train_models(rows, config)
@@ -234,29 +211,17 @@ def cmd_train(args: argparse.Namespace) -> int:
         "seed": config.seed,
         "folds": config.folds,
     }
-    sink = ArtifactSink()
-    try:
-        sink.write(args.out / "model_metrics.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    except BaseException:
-        sink.cleanup()
-        raise
     print(f"trained {len(metrics)} model configurations")
-    return 0
+    return {"model_metrics.json": render_report(payload)}
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> Artifacts:
     config = _run_config(args)
     effects = read_effects_csv(args.effects.read_text())
     reference = read_effects_csv(args.reference_effects.read_text()) if args.reference_effects else []
     feature_rows = read_features_csv(args.features.read_text()) if args.features else []
-    profiles = []
-    if args.venues:
-        from .cohort import parse_venues
-
-        profiles = parse_venues(_read_lines(args.venues)).profiles
-    model_payload = None
-    if args.model_metrics:
-        model_payload = json.loads(args.model_metrics.read_text())
+    profiles = parse_venues(_read_lines(args.venues)).profiles if args.venues else []
+    model_payload = json.loads(args.model_metrics.read_text()) if args.model_metrics else {}
 
     promo_keys = {(e.venue_id, e.start_day) for e in effects}
     group_ids = {e.group_id for e in reference if e.group_id is not None}
@@ -276,18 +241,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         reference,
         profiles,
         feature_rows,
-        model_payload.get("models") if model_payload else None,
-        model_payload.get("rms_gaps") if model_payload else None,
+        model_payload.get("models"),
+        model_payload.get("rms_gaps"),
     )
-    sink = ArtifactSink()
-    try:
-        sink.write(args.out / "report.json", render_report(report))
-        if feature_rows:
-            sink.write(args.out / "feature_aucs.csv", feature_auc_csv(report["feature_aucs"]))
-    except BaseException:
-        sink.cleanup()
-        raise
-    return 0
+    artifacts = {"report.json": render_report(report)}
+    if feature_rows:
+        artifacts["feature_aucs.csv"] = feature_auc_csv(report["feature_aucs"])
+    return artifacts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,71 +270,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("segment", help="eligibility filters and segmentation")
-    p.add_argument("--snapshots", type=Path, required=True)
-    p.add_argument("--offers", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_segment)
+    stage = {}
+    for name, func, help_text in (
+        ("segment", cmd_segment, "eligibility filters and segmentation"),
+        ("test", cmd_test, "bootstrap tests for eligible campaigns"),
+        ("match", cmd_match, "build matched reference groups"),
+        ("features", cmd_features, "extract feature vectors"),
+        ("train", cmd_train, "cross-validate classifiers"),
+        ("report", cmd_report, "aggregate results into report.json"),
+    ):
+        p = stage[name] = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", type=Path, required=True)
+        _add_config_flags(p)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("test", help="bootstrap tests for eligible campaigns")
-    p.add_argument("--snapshots", type=Path, required=True)
-    p.add_argument("--offers", type=Path, required=True)
-    p.add_argument("--groups", type=Path, help="reference groups CSV; also test pseudo-campaigns")
-    p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_test)
+    _add_corpus_flags(stage["segment"])
+    _add_corpus_flags(stage["test"])
+    stage["test"].add_argument(
+        "--groups", type=Path, help="reference groups CSV; also test pseudo-campaigns"
+    )
+    _add_corpus_flags(stage["match"], venues=True)
+    _add_corpus_flags(stage["features"], venues=True)
+    stage["features"].add_argument("--effects", type=Path, required=True)
+    stage["train"].add_argument("--features", type=Path, required=True)
 
-    p = sub.add_parser("match", help="build matched reference groups")
-    p.add_argument("--snapshots", type=Path, required=True)
-    p.add_argument("--offers", type=Path, required=True)
-    p.add_argument("--venues", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("features", help="extract feature vectors")
-    p.add_argument("--snapshots", type=Path, required=True)
-    p.add_argument("--offers", type=Path, required=True)
-    p.add_argument("--venues", type=Path, required=True)
-    p.add_argument("--effects", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("train", help="cross-validate classifiers")
-    p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("report", help="aggregate results into report.json")
+    p = stage["report"]
     p.add_argument("--effects", type=Path, required=True)
     p.add_argument("--reference-effects", type=Path)
     p.add_argument("--features", type=Path)
     p.add_argument("--model-metrics", type=Path)
     p.add_argument("--venues", type=Path)
-    p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_report)
-
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        write_artifacts(args.out, args.func(args))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CampaignFxError as exc:
+    except (CampaignFxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

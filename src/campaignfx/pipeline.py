@@ -36,6 +36,7 @@ from .series import (
     DailyCumulative,
     DailySeries,
     ParseError,
+    SegmentedSeries,
     VenueSnapshots,
     daily_checkins,
     interpolate_daily,
@@ -158,73 +159,66 @@ def _horizons(config: RunConfig) -> tuple[Horizon, ...]:
     return (Horizon.SHORT_TERM, Horizon.LONG_TERM)
 
 
-def _effect_task(args) -> tuple[str, int, int, str, Optional[int], EffectResult]:
-    seed, knobs, venue_id, start_day, end_day, horizon_value, group_id, before, other = args
-    test_config = TestConfig(**knobs)
-    rng = derive_rng(seed, "effect", venue_id, start_day, horizon_value)
-    result = evaluate_effect(before, other, Horizon(horizon_value), test_config, rng)
-    return venue_id, start_day, end_day, horizon_value, group_id, result
+@dataclass(frozen=True)
+class _EffectTask:
+    venue_id: str
+    group_id: Optional[int]
+    segments: SegmentedSeries
+    horizon: Horizon
+    config: TestConfig
 
 
-def _run_effect_tasks(tasks: list, jobs: int) -> list[CampaignEffect]:
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_effect_task, tasks, chunksize=max(1, len(tasks) // (jobs * 8))))
-    else:
-        raw = [_effect_task(t) for t in tasks]
-    return [
-        CampaignEffect(
-            venue_id=v, start_day=s, end_day=e, horizon=Horizon(h), result=r, group_id=g
-        )
-        for v, s, e, h, g, r in raw
+def _effect_task(task: _EffectTask) -> CampaignEffect:
+    seg, horizon = task.segments, task.horizon
+    rng = derive_rng(task.config.seed, "effect", task.venue_id, seg.start_day, horizon.value)
+    other = seg.during if horizon is Horizon.SHORT_TERM else seg.after
+    result = evaluate_effect(seg.before, other, horizon, task.config, rng)
+    return CampaignEffect(task.venue_id, seg.start_day, seg.end_day, horizon, result, task.group_id)
+
+
+def _run_effect_tasks(
+    windows: Sequence[tuple[str, Optional[int], SegmentedSeries]], config: RunConfig
+) -> list[CampaignEffect]:
+    """Test each ``(venue_id, group_id, segments)`` window at every configured horizon it has."""
+    test_config = TestConfig(bootstraps=config.bootstraps, alpha=config.alpha, block_len=config.block_len,
+                             power_min=config.power_min, seed=config.seed)
+    tasks = [
+        _EffectTask(venue_id, group_id, seg, horizon, test_config)
+        for venue_id, group_id, seg in windows
+        for horizon in _horizons(config)
+        if horizon is Horizon.SHORT_TERM or seg.after is not None
     ]
+    if config.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            return list(pool.map(_effect_task, tasks, chunksize=max(1, len(tasks) // (config.jobs * 8))))
+    return [_effect_task(t) for t in tasks]
 
 
-def _make_tasks(
+def _segment_windows(
     corpus: LoadedCorpus,
     windows: Sequence[tuple[str, int, int, Optional[int]]],
     config: RunConfig,
-) -> list:
-    knobs = dict(
-        bootstraps=config.bootstraps,
-        alpha=config.alpha,
-        block_len=config.block_len,
-        power_min=config.power_min,
-        seed=config.seed,
-    )
-    tasks = []
+) -> list[tuple[str, Optional[int], SegmentedSeries]]:
+    """Segment each ``(venue_id, start_day, end_day, group_id)`` window; skip those that cannot be."""
+    segmented = []
     for venue_id, start_day, end_day, group_id in windows:
         s = corpus.series.get(venue_id)
         if s is None:
             continue
         try:
-            seg = segment(
-                s, start_day, end_day,
-                k=config.k, w_max=config.w_max, min_duration=config.min_duration,
-            )
+            seg = segment(s, start_day, end_day, k=config.k, w_max=config.w_max, min_duration=config.min_duration)
         except (IneligibleCampaign, InsufficientData):
             continue
-        for horizon in _horizons(config):
-            if horizon is Horizon.LONG_TERM and seg.after is None:
-                continue
-            other = seg.during if horizon is Horizon.SHORT_TERM else seg.after
-            tasks.append((
-                config.seed, knobs, venue_id, seg.start_day, seg.end_day,
-                horizon.value, group_id, seg.before, other,
-            ))
-    return tasks
+        segmented.append((venue_id, group_id, seg))
+    return segmented
 
 
 def test_stage(
     corpus: LoadedCorpus, eligibility: EligibilityReport, config: RunConfig
 ) -> list[CampaignEffect]:
-    """Bootstrap-test every eligible promotion campaign."""
-    windows = [
-        (c.period.venue_id, c.period.start_day, c.period.end_day, None)
-        for c in eligibility.eligible
-    ]
-    windows.sort(key=lambda w: (w[0], w[1]))
-    return _run_effect_tasks(_make_tasks(corpus, windows, config), config.jobs)
+    """Bootstrap-test every eligible promotion campaign on the segments it carries."""
+    eligible = sorted(eligibility.eligible, key=lambda c: (c.period.venue_id, c.period.start_day))
+    return _run_effect_tasks([(c.period.venue_id, None, c.segments) for c in eligible], config)
 
 
 @dataclass
@@ -278,14 +272,12 @@ def reference_test_stage(
     corpus: LoadedCorpus, groups: Sequence[ReferenceGroup], config: RunConfig
 ) -> list[CampaignEffect]:
     """Bootstrap-test the pseudo-campaigns of every reference group."""
-    windows = []
-    for group in groups:
-        for member in group.members:
-            if member.pseudo_start is None:
-                continue
-            windows.append((member.venue_id, member.pseudo_start, member.pseudo_end, group.group_id))
-    windows.sort(key=lambda w: (w[3], w[0], w[1]))
-    return _run_effect_tasks(_make_tasks(corpus, windows, config), config.jobs)
+    windows = sorted(
+        ((m.venue_id, m.pseudo_start, m.pseudo_end, g.group_id)
+         for g in groups for m in g.members if m.pseudo_start is not None),
+        key=lambda w: (w[3], w[0], w[1]),
+    )
+    return _run_effect_tasks(_segment_windows(corpus, windows, config), config)
 
 
 def features_stage(

@@ -31,7 +31,7 @@ from .learn import (
     rms_probability_gap,
     train_model,
 )
-from .pipeline import CampaignEffect
+from .pipeline import CampaignEffect, _horizons
 
 # numeric features reported in the per-feature table
 TABLE_FEATURES = [
@@ -190,13 +190,7 @@ def train_models(
     """
     metrics_records: list[dict] = []
     rms_gaps: dict = {"cv": {}, "out_of_sample": {}}
-    horizons = []
-    if config.horizon in ("short", "both"):
-        horizons.append(Horizon.SHORT_TERM)
-    if config.horizon in ("long", "both"):
-        horizons.append(Horizon.LONG_TERM)
-
-    for horizon in horizons:
+    for horizon in _horizons(config):
         h_rows = [r for r in rows if r.horizon is horizon]
         if not h_rows:
             continue

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import operator
+import sys
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -40,6 +41,8 @@ MIN_CAMPAIGN_DAYS = 7     # minimum campaign duration
 _SNAPSHOT_FIELDS = ("venue_id", "ts", "checkins", "users", "specials", "tips", "likes")
 _COUNTER_FIELDS = ("checkins", "users", "specials", "tips", "likes")
 _counter_values = operator.itemgetter(*_COUNTER_FIELDS)
+_EXACT = 2**53  # plain integer counters below this convert to float64 exactly
+_MAX_FLOAT = sys.float_info.max
 _decode_prefix = json.JSONDecoder().raw_decode
 
 
@@ -164,6 +167,8 @@ def parse_timestamp(raw: object) -> float:
             dt = dt.replace(tzinfo=timezone.utc)
         return dt.timestamp()
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        if not -_MAX_FLOAT <= raw <= _MAX_FLOAT:  # NaN and the infinities fail too
+            raise ValueError("timestamp must be a finite number")
         return float(raw)
     raise ValueError(f"timestamp must be a string or number, got {type(raw).__name__}")
 
@@ -182,7 +187,8 @@ def parse_records(
     With ``csv_fields``, lines whose first non-blank one is not a JSON object
     are CSV under a header naming every one of ``csv_fields``. A line fails
     when it is not a JSON object or ``convert`` raises ``KeyError`` (missing
-    field), ``TypeError`` or ``ValueError``.
+    field), ``TypeError``, ``ValueError`` or ``OverflowError`` (a number
+    beyond float range).
     """
     lines = list(lines)
     if csv_fields and _sniff_format(lines) == "csv":
@@ -200,7 +206,7 @@ def parse_records(
             errors.append(ParseError(line_no, f"invalid JSON: {exc.msg}"))
         except KeyError as exc:
             errors.append(ParseError(line_no, f"missing field {exc.args[0]!r}"))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             errors.append(ParseError(line_no, str(exc)))
         else:
             yield value
@@ -240,17 +246,22 @@ def _snapshot_row(obj: dict) -> tuple[str, tuple]:
     ts = parse_timestamp(obj["ts"])
     try:
         c, u, s, t, l = _counter_values(obj)
-        plain = type(c) is type(u) is type(s) is type(t) is type(l) is int and min(c, u, s, t, l) >= 0
+        plain = type(c) is type(u) is type(s) is type(t) is type(l) is int and (
+            0 <= c < _EXACT and 0 <= u < _EXACT and 0 <= s < _EXACT and 0 <= t < _EXACT and 0 <= l < _EXACT
+        )
     except KeyError:
         plain = False
     if not plain:
         # field by field, so int() truncation and the first failing field decide
         counters = []
         for name in _COUNTER_FIELDS:
-            value = int(obj[name])
+            try:
+                value = int(obj[name])
+                counters.append(float(value))  # counters are stored as float64
+            except OverflowError:  # infinity, or an integer beyond float range
+                raise ValueError(f"{name} is out of range") from None
             if value < 0:
                 raise ValueError(f"{name} is negative")
-            counters.append(value)
         c, u, s, t, l = counters
     if not isinstance(venue_id, str) or not venue_id:
         raise ValueError("venue_id must be a non-empty string")

@@ -124,6 +124,42 @@ class TestPipelineCommands:
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
 
+    def test_failing_command_keeps_earlier_artifacts(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl"]
+        assert run(["test", *common, "--bootstraps", 199, "--seed", 4, "--out", out]) == 0
+        assert run([
+            "match", *common, "--venues", corpus_dir / "venues.jsonl",
+            "--n-groups", 3, "--seed", 4, "--out", out,
+        ]) == 0
+        effects = (out / "effects.csv").read_bytes()
+        (out / "reference_effects.csv").mkdir()
+        # other knobs, so a partly saved run would show in effects.csv
+        code = run([
+            "test", *common, "--groups", out / "groups.csv",
+            "--bootstraps", 99, "--seed", 5, "--out", out,
+        ])
+        assert code == 2
+        assert (out / "effects.csv").read_bytes() == effects
+        assert not list(out.glob(".*.tmp"))
+
+    def test_non_finite_numbers_are_skipped_records(self, corpus_dir, tmp_path, capsys):
+        offers = ["--offers", corpus_dir / "offers.jsonl"]
+        clean = corpus_dir / "snapshots.jsonl"
+        first = json.loads(clean.read_text().splitlines()[0])
+        dirty = tmp_path / "snapshots.jsonl"
+        dirty.write_text(
+            clean.read_text()
+            + json.dumps({**first, "ts": float("nan")}) + "\n"
+            + json.dumps({**first, "checkins": float("inf")}) + "\n"
+        )
+        assert run(["segment", "--snapshots", clean, *offers, "--out", tmp_path / "clean"]) == 0
+        capsys.readouterr()
+        assert run(["segment", "--snapshots", dirty, *offers, "--out", tmp_path / "dirty"]) == 0
+        assert "warning: 2 malformed records skipped" in capsys.readouterr().err
+        assert (tmp_path / "dirty" / "campaigns.csv").read_bytes() == \
+            (tmp_path / "clean" / "campaigns.csv").read_bytes()
+
     def test_invalid_knob_exits_1(self, corpus_dir, tmp_path):
         code = run([
             "segment", "--snapshots", corpus_dir / "snapshots.jsonl",
@@ -199,3 +235,8 @@ class TestTrainCommand:
         out = tmp_path / "models"
         assert run(["train", "--features", features, "--folds", 10, "--out", out]) == 1
         assert not (out / "model_metrics.json").exists()
+        out.mkdir()
+        (out / "model_metrics.json").write_text("earlier\n")
+        assert run(["train", "--features", features, "--folds", 10, "--out", out]) == 1
+        assert (out / "model_metrics.json").read_text() == "earlier\n"
+        assert not list(out.glob(".*.tmp"))

@@ -131,20 +131,30 @@ class TestParseErrorLadder:
     @pytest.mark.parametrize("parse, good, bad_lines, errors", [
         (parse_snapshots, _SNAPSHOT,
          [_edited(_SNAPSHOT, users=...), _edited(_SNAPSHOT, tips="x"),
-          _edited(_SNAPSHOT, venue_id=""), _edited(_SNAPSHOT, ts=None)],
+          _edited(_SNAPSHOT, venue_id=""), _edited(_SNAPSHOT, ts=None),
+          _edited(_SNAPSHOT, ts=float("nan")), _edited(_SNAPSHOT, ts=-float("inf")),
+          _edited(_SNAPSHOT, ts=10**400), _edited(_SNAPSHOT, checkins=float("inf")),
+          _edited(_SNAPSHOT, likes=10**400), _edited(_SNAPSHOT, tips=float("nan"))],
          [(6, "missing field 'users'"), (7, "invalid literal for int() with base 10: 'x'"),
           (8, "venue_id must be a non-empty string"),
-          (9, "timestamp must be a string or number, got NoneType")]),
+          (9, "timestamp must be a string or number, got NoneType"),
+          (10, "timestamp must be a finite number"), (11, "timestamp must be a finite number"),
+          (12, "timestamp must be a finite number"), (13, "checkins is out of range"),
+          (14, "likes is out of range"), (15, "cannot convert float NaN to integer")]),
         (parse_offers, _OFFER,
          [_edited(_OFFER, special_id=...), _edited(_OFFER, type="Bogus"),
-          _edited(_OFFER, end="2012-10-01"), _edited(_OFFER, start=[1])],
+          _edited(_OFFER, end="2012-10-01"), _edited(_OFFER, start=[1]),
+          _edited(_OFFER, start=float("nan")), _edited(_OFFER, end=float("inf"))],
          [(6, "missing field 'special_id'"), (7, "unknown offer type 'Bogus'"),
-          (8, "offer ends before it starts"), (9, "timestamp must be a string or number, got list")]),
+          (8, "offer ends before it starts"), (9, "timestamp must be a string or number, got list"),
+          (10, "timestamp must be a finite number"), (11, "timestamp must be a finite number")]),
         (parse_venues, _VENUE,
          [_edited(_VENUE, lat=...), _edited(_VENUE, category="Bowling"),
-          _edited(_VENUE, lat=91.0), _edited(_VENUE, lon="east")],
+          _edited(_VENUE, lat=91.0), _edited(_VENUE, lon="east"),
+          _edited(_VENUE, lat=float("nan")), _edited(_VENUE, lon=10**400)],
          [(6, "missing field 'lat'"), (7, "'Bowling' is not a valid Category"),
-          (8, "latitude 91.0 out of range"), (9, "could not convert string to float: 'east'")]),
+          (8, "latitude 91.0 out of range"), (9, "could not convert string to float: 'east'"),
+          (10, "latitude nan out of range"), (11, "int too large to convert to float")]),
     ], ids=["snapshots", "offers", "venues"])
     def test_line_numbers_and_messages(self, parse, good, bad_lines, errors):
         lines = ["", "{not json", "[1, 2]", "   ", json.dumps(good)] + bad_lines

@@ -114,15 +114,15 @@ class TestMakeTasks:
     def test_short_history_window_is_skipped(self, corpus):
         venue_id, series = sorted(corpus.series.items())[0]
         window = [(venue_id, series.origin_day, series.origin_day + 10, None)]
-        assert pipeline._make_tasks(corpus, window, fast_config()) == []
-        assert pipeline._make_tasks(corpus, self._window(corpus), fast_config())
+        assert pipeline._segment_windows(corpus, window, fast_config()) == []
+        assert pipeline._segment_windows(corpus, self._window(corpus), fast_config())
 
     @pytest.mark.parametrize("error", [IneligibleCampaign("ShortHistory"), InsufficientData("gap")])
     def test_ineligible_window_is_skipped(self, corpus, monkeypatch, error):
         def refuse(*args, **kwargs):
             raise error
         monkeypatch.setattr(pipeline, "segment", refuse)
-        assert pipeline._make_tasks(corpus, self._window(corpus), fast_config()) == []
+        assert pipeline._segment_windows(corpus, self._window(corpus), fast_config()) == []
 
     @pytest.mark.parametrize("error", [RuntimeError("bug"), ValueError("bad"), KeyError("x")])
     def test_other_errors_propagate(self, corpus, monkeypatch, error):
@@ -130,7 +130,7 @@ class TestMakeTasks:
             raise error
         monkeypatch.setattr(pipeline, "segment", broken)
         with pytest.raises(type(error)):
-            pipeline._make_tasks(corpus, self._window(corpus), fast_config())
+            pipeline._segment_windows(corpus, self._window(corpus), fast_config())
 
 
 class TestCsvRoundTrips:
