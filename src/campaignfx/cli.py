@@ -43,6 +43,7 @@ from .pipeline import (
 )
 from .features import read_features_csv, write_features_csv
 from .report import build_report, feature_auc_csv, render_report, train_models
+from .series import MAX_GRID_DAYS, ParseError
 from .synth import SynthConfig, generate_corpus_data
 
 # every knob but horizon is a number flag of its default's type
@@ -99,6 +100,15 @@ def _read_lines(path: Path) -> list[str]:
     return path.read_text().splitlines()
 
 
+def _warn_parse_errors(errors: Sequence[ParseError]) -> None:
+    if errors:
+        print(
+            f"warning: {len(errors)} malformed records skipped "
+            f"(first: line {errors[0].line_no}: {errors[0].message})",
+            file=sys.stderr,
+        )
+
+
 def _stage_inputs(
     args: argparse.Namespace, venues_required: Optional[str] = None
 ) -> tuple[RunConfig, LoadedCorpus, EligibilityReport]:
@@ -112,11 +122,11 @@ def _stage_inputs(
     if venues_required:
         lines.append(_read_lines(args.venues))
     corpus = load_corpus(*lines)
-    if corpus.parse_errors:
-        first = corpus.parse_errors[0]
+    _warn_parse_errors(corpus.parse_errors)
+    if corpus.long_span_venues:
         print(
-            f"warning: {len(corpus.parse_errors)} malformed records skipped "
-            f"(first: line {first.line_no}: {first.message})",
+            f"warning: {len(corpus.long_span_venues)} venues skipped: readings span "
+            f"{MAX_GRID_DAYS} days or more (first: {corpus.long_span_venues[0]})",
             file=sys.stderr,
         )
     if venues_required and not corpus.profiles:
@@ -168,13 +178,14 @@ def cmd_segment(args: argparse.Namespace) -> Artifacts:
 
 def cmd_test(args: argparse.Namespace) -> Artifacts:
     config, corpus, eligibility = _stage_inputs(args)
-    groups = read_groups_csv(args.groups.read_text()) if args.groups else None
+    if args.groups is not None:
+        groups = read_groups_csv(args.groups.read_text())
+        effects = reference_test_stage(corpus, groups, config)
+        print(f"tested {len(effects)} reference windows")
+        return {"reference_effects.csv": write_effects_csv(effects)}
     effects = test_stage(corpus, eligibility, config)
-    artifacts = {"effects.csv": write_effects_csv(effects)}
-    if groups is not None:
-        artifacts["reference_effects.csv"] = write_effects_csv(reference_test_stage(corpus, groups, config))
     print(f"tested {len(effects)} campaign windows")
-    return artifacts
+    return {"effects.csv": write_effects_csv(effects)}
 
 
 def cmd_match(args: argparse.Namespace) -> Artifacts:
@@ -220,7 +231,11 @@ def cmd_report(args: argparse.Namespace) -> Artifacts:
     effects = read_effects_csv(args.effects.read_text())
     reference = read_effects_csv(args.reference_effects.read_text()) if args.reference_effects else []
     feature_rows = read_features_csv(args.features.read_text()) if args.features else []
-    profiles = parse_venues(_read_lines(args.venues)).profiles if args.venues else []
+    profiles = []
+    if args.venues:
+        venue_report = parse_venues(_read_lines(args.venues))
+        _warn_parse_errors(venue_report.errors)
+        profiles = venue_report.profiles
     model_payload = json.loads(args.model_metrics.read_text()) if args.model_metrics else {}
 
     promo_keys = {(e.venue_id, e.start_day) for e in effects}
@@ -287,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(stage["segment"])
     _add_corpus_flags(stage["test"])
     stage["test"].add_argument(
-        "--groups", type=Path, help="reference groups CSV; also test pseudo-campaigns"
+        "--groups", type=Path,
+        help="reference groups CSV; tests only the reference groups' pseudo-campaigns "
+             "(run test first for effects.csv)",
     )
     _add_corpus_flags(stage["match"], venues=True)
     _add_corpus_flags(stage["features"], venues=True)

@@ -5,9 +5,12 @@ The test compares daily check-ins before a campaign against those during
 hypothesis true, then resampled with a moving-block bootstrap so short-range
 day-to-day dependence survives resampling. The empirical p-value counts
 resampled mean differences at least as extreme as the observed one, with
-add-one smoothing so it is never zero. Power is estimated from a second,
-uncentered bootstrap run: the fraction of its mean differences falling
-outside the null critical interval.
+add-one smoothing so it is never zero. Power and the confidence interval come
+from the same null draws shifted by the observed difference: under the same
+block starts a resample mean of the raw sample is the centered one plus the
+sample mean (Künsch, 1989), so the shifted draws are the uncentered
+(alternative-hypothesis) distribution. Power is the share of them outside the
+null critical interval; the interval is the critical interval shifted.
 """
 
 from __future__ import annotations
@@ -147,6 +150,36 @@ class BootstrapTest:
     crit_high: float
 
 
+def _samples(before: Sequence[float], other: Sequence[float], caller: str) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(before, dtype=float)
+    b = np.asarray(other, dtype=float)
+    if len(a) < 2 or len(b) < 2:
+        raise InsufficientSample(f"{caller} needs at least 2 values per sample")
+    return a, b
+
+
+def _bootstrap(
+    a: np.ndarray, b: np.ndarray, bootstraps: int, alpha: float, block_len: int, rng: np.random.Generator
+) -> tuple[BootstrapTest, float]:
+    """One bootstrap pass: the null test and the power, from one pair of draws.
+
+    The centered resample means of ``b``, then of ``a``, give the null mean
+    differences ``deltas``. ``deltas + diff_obs`` are the uncentered
+    differences under the same block starts; power is their share outside
+    the null critical interval.
+    """
+    diff_obs = float(b.mean() - a.mean())
+    deltas = _resample_means(b - b.mean(), block_len, bootstraps, rng) - _resample_means(
+        a - a.mean(), block_len, bootstraps, rng
+    )
+    exceed = int(np.count_nonzero(np.abs(deltas) >= abs(diff_obs)))
+    p = (1 + exceed) / (bootstraps + 1)
+    crit_low, crit_high = np.quantile(deltas, [alpha / 2.0, 1.0 - alpha / 2.0])
+    alt = deltas + diff_obs
+    power = float(np.count_nonzero((alt < crit_low) | (alt > crit_high)) / bootstraps)
+    return BootstrapTest(diff=diff_obs, p_value=p, crit_low=float(crit_low), crit_high=float(crit_high)), power
+
+
 def bootstrap_test(
     before: Sequence[float],
     other: Sequence[float],
@@ -164,20 +197,8 @@ def bootstrap_test(
     interval holds the alpha/2 and 1-alpha/2 quantiles of the null
     differences, used downstream for the power estimate.
     """
-    a = np.asarray(before, dtype=float)
-    b = np.asarray(other, dtype=float)
-    if len(a) < 2 or len(b) < 2:
-        raise InsufficientSample("bootstrap_test needs at least 2 values per sample")
-    diff_obs = float(b.mean() - a.mean())
-    a_centered = a - a.mean()
-    b_centered = b - b.mean()
-    deltas = _resample_means(b_centered, block_len, bootstraps, rng) - _resample_means(
-        a_centered, block_len, bootstraps, rng
-    )
-    exceed = int(np.count_nonzero(np.abs(deltas) >= abs(diff_obs)))
-    p = (1 + exceed) / (bootstraps + 1)
-    crit_low, crit_high = np.quantile(deltas, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return BootstrapTest(diff=diff_obs, p_value=p, crit_low=float(crit_low), crit_high=float(crit_high))
+    a, b = _samples(before, other, "bootstrap_test")
+    return _bootstrap(a, b, bootstraps, alpha, block_len, rng)[0]
 
 
 def bootstrap_power(
@@ -193,18 +214,14 @@ def bootstrap_power(
     """Estimated power: mass of the uncentered difference distribution
     outside the null critical interval.
 
-    When ``crit`` is omitted the null interval is rebuilt internally with the
-    same procedure as :func:`bootstrap_test`.
+    When ``crit`` is omitted, the null interval and the uncentered
+    differences both come from one pass of :func:`bootstrap_test`'s draws.
+    An explicit ``crit`` has no null draws to reuse, so uncentered resamples
+    are drawn instead.
     """
-    a = np.asarray(before, dtype=float)
-    b = np.asarray(other, dtype=float)
-    if len(a) < 2 or len(b) < 2:
-        raise InsufficientSample("bootstrap_power needs at least 2 values per sample")
+    a, b = _samples(before, other, "bootstrap_power")
     if crit is None:
-        null = bootstrap_test(
-            a, b, bootstraps=bootstraps, alpha=alpha, block_len=block_len, rng=rng
-        )
-        crit = (null.crit_low, null.crit_high)
+        return _bootstrap(a, b, bootstraps, alpha, block_len, rng)[1]
     deltas = _resample_means(b, block_len, bootstraps, rng) - _resample_means(
         a, block_len, bootstraps, rng
     )
@@ -246,27 +263,12 @@ def evaluate_effect(
 ) -> EffectResult:
     """Full per-campaign evaluation: test, power, effect size, and label.
 
-    The null critical interval from the test run is reused for the power
-    estimate; the reported confidence interval is the percentile interval of
-    the uncentered (alternative-hypothesis) difference distribution.
+    Power and the reported confidence interval come from the test's own null
+    draws shifted by the observed difference; the interval is the null
+    critical interval shifted the same way.
     """
-    a = np.asarray(before, dtype=float)
-    b = np.asarray(other, dtype=float)
-    if len(a) < 2 or len(b) < 2:
-        raise InsufficientSample("evaluate_effect needs at least 2 values per sample")
-
-    null = bootstrap_test(
-        a, b,
-        bootstraps=config.bootstraps, alpha=config.alpha,
-        block_len=config.block_len, rng=rng,
-    )
-    alt = _resample_means(b, config.block_len, config.bootstraps, rng) - _resample_means(
-        a, config.block_len, config.bootstraps, rng
-    )
-    outside = (alt < null.crit_low) | (alt > null.crit_high)
-    power = float(np.count_nonzero(outside) / config.bootstraps)
-    ci_low, ci_high = np.quantile(alt, [config.alpha / 2.0, 1.0 - config.alpha / 2.0])
-
+    a, b = _samples(before, other, "evaluate_effect")
+    null, power = _bootstrap(a, b, config.bootstraps, config.alpha, config.block_len, rng)
     d = cohens_d(a, b)
     label = classify_effect(null.p_value, power, null.diff, config.alpha, config.power_min)
     degenerate = bool(np.all(a == a[0]) and np.all(b == b[0]))
@@ -275,8 +277,8 @@ def evaluate_effect(
         cohens_d=d,
         p_value=null.p_value,
         power=power,
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
+        ci_low=null.crit_low + null.diff,
+        ci_high=null.crit_high + null.diff,
         horizon=horizon,
         label=label,
         degenerate=degenerate,

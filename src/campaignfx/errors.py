@@ -9,6 +9,10 @@ class InsufficientData(CampaignFxError):
     """A time series is too short for the requested operation."""
 
 
+class SpanTooLong(CampaignFxError):
+    """A venue's readings span more days than a daily grid may hold."""
+
+
 class IneligibleCampaign(CampaignFxError):
     """A campaign window fails the segmentation preconditions.
 

@@ -27,7 +27,7 @@ from .campaign import (
 from .cohort import ReferenceGroup, VenueProfile, filter_zero_activity
 from .config import RunConfig
 from .effect import EffectLabel, EffectResult, Horizon, TestConfig, evaluate_effect
-from .errors import IneligibleCampaign, InsufficientData
+from .errors import IneligibleCampaign, InsufficientData, SpanTooLong
 from .features import FeatureVector, extract_geo_features, extract_promo_features, extract_venue_features, neighborhood
 from .geo import RadiusIndex
 from .rng import derive_rng
@@ -56,6 +56,7 @@ class LoadedCorpus:
     profiles: list[VenueProfile]
     parse_errors: list[ParseError] = field(default_factory=list)
     short_series_venues: list[str] = field(default_factory=list)
+    long_span_venues: list[str] = field(default_factory=list)  # readings span MAX_GRID_DAYS or more
 
 
 def _index_offers(
@@ -82,13 +83,16 @@ def build_corpus(
     """Derive daily series and promotion periods from already-parsed inputs."""
     cumulative: dict[str, DailyCumulative] = {}
     series: dict[str, DailySeries] = {}
-    short_series = []
+    short_series, long_span = [], []
     for venue_id in sorted(snapshots):
         try:
             dc = interpolate_daily(snapshots[venue_id])
             ds = daily_checkins(dc)
         except InsufficientData:
             short_series.append(venue_id)
+            continue
+        except SpanTooLong:
+            long_span.append(venue_id)
             continue
         cumulative[venue_id] = dc
         series[venue_id] = ds
@@ -111,6 +115,7 @@ def build_corpus(
         profiles=resolved_profiles,
         parse_errors=parse_errors or [],
         short_series_venues=short_series,
+        long_span_venues=long_span,
     )
 
 

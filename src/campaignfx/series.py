@@ -29,9 +29,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import IneligibleCampaign, InsufficientData
+from .errors import IneligibleCampaign, InsufficientData, SpanTooLong
 
 DAY_SECONDS = 86400.0
+MAX_GRID_DAYS = 3660      # longest daily grid interpolate_daily builds, about ten years
 
 BEFORE_DAYS = 28          # k: baseline window length
 AFTER_MAX_DAYS = 28       # cap on the post-campaign window
@@ -305,16 +306,20 @@ def interpolate_daily(snapshots: VenueSnapshots) -> DailyCumulative:
     The grid is anchored at the first reading and never extrapolates beyond
     the last one. Decreases between consecutive raw readings (API noise) are
     clamped to the running maximum; each decreasing raw pair increments
-    ``anomaly_count``.
+    ``anomaly_count``. Readings spanning ``MAX_GRID_DAYS`` days or more raise
+    ``SpanTooLong`` before any grid is allocated.
     """
     if len(snapshots) < 2:
         raise InsufficientData("need at least 2 readings to interpolate")
     ts = snapshots.ts
+    origin = ts[0]
+    span_days = ts[-1] / DAY_SECONDS - origin / DAY_SECONDS  # cannot overflow
+    if span_days >= MAX_GRID_DAYS:
+        raise SpanTooLong(f"readings span {span_days:.4g} days, the limit is {MAX_GRID_DAYS}")
     raw = snapshots.checkins
     anomalies = int(np.count_nonzero(np.diff(raw) < 0))
     clamped = np.maximum.accumulate(raw)
 
-    origin = ts[0]
     n_days = int((ts[-1] - origin) // DAY_SECONDS) + 1
     grid = origin + DAY_SECONDS * np.arange(n_days)
     values = np.interp(grid, ts, clamped)

@@ -124,23 +124,39 @@ class TestPipelineCommands:
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
 
-    def test_failing_command_keeps_earlier_artifacts(self, corpus_dir, tmp_path):
+    def test_groups_tests_only_reference_windows(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
         common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl"]
         assert run(["test", *common, "--bootstraps", 199, "--seed", 4, "--out", out]) == 0
+        # the corpus's venues lie too far apart to share 0.1-degree match cells
         assert run([
             "match", *common, "--venues", corpus_dir / "venues.jsonl",
-            "--n-groups", 3, "--seed", 4, "--out", out,
+            "--n-groups", 3, "--grid-deg", 5, "--seed", 4, "--out", out,
         ]) == 0
         effects = (out / "effects.csv").read_bytes()
-        (out / "reference_effects.csv").mkdir()
-        # other knobs, so a partly saved run would show in effects.csv
-        code = run([
-            "test", *common, "--groups", out / "groups.csv",
-            "--bootstraps", 99, "--seed", 5, "--out", out,
-        ])
-        assert code == 2
+        # other knobs, so a re-test of the promotion windows would show in effects.csv
+        assert run([
+            "test", *common, "--groups", out / "groups.csv", "--bootstraps", 99, "--seed", 4,
+            "--out", out,
+        ]) == 0
         assert (out / "effects.csv").read_bytes() == effects
+        rows = (out / "reference_effects.csv").read_text().splitlines()
+        assert len(rows) > 1 and all(row.split(",")[0] for row in rows[1:])
+
+    def test_failing_command_keeps_earlier_artifacts(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl"]
+        other_knobs = ["--k", 35, "--min-duration", 10]
+        assert run(["segment", *common, "--out", out]) == 0
+        assert run(["segment", *common, *other_knobs, "--out", tmp_path / "other"]) == 0
+        campaigns = (out / "campaigns.csv").read_bytes()
+        assert (tmp_path / "other" / "campaigns.csv").read_bytes() != campaigns
+        (out / "skipped.csv").unlink()
+        (out / "skipped.csv").mkdir()
+        # campaigns.csv is staged before the directory is met, so a partly
+        # saved run would show there
+        assert run(["segment", *common, *other_knobs, "--out", out]) == 2
+        assert (out / "campaigns.csv").read_bytes() == campaigns
         assert not list(out.glob(".*.tmp"))
 
     def test_non_finite_numbers_are_skipped_records(self, corpus_dir, tmp_path, capsys):
@@ -159,6 +175,40 @@ class TestPipelineCommands:
         assert "warning: 2 malformed records skipped" in capsys.readouterr().err
         assert (tmp_path / "dirty" / "campaigns.csv").read_bytes() == \
             (tmp_path / "clean" / "campaigns.csv").read_bytes()
+
+    def test_venue_spanning_too_many_days_is_skipped(self, corpus_dir, tmp_path, capsys):
+        offers = ["--offers", corpus_dir / "offers.jsonl"]
+        clean = corpus_dir / "snapshots.jsonl"
+        first = json.loads(clean.read_text().splitlines()[0])
+        far = {**first, "venue_id": "far"}
+        dirty = tmp_path / "snapshots.jsonl"
+        dirty.write_text(
+            clean.read_text()
+            + json.dumps({**far, "ts": 0}) + "\n"
+            + json.dumps({**far, "ts": 1e300}) + "\n"
+        )
+        assert run(["segment", "--snapshots", clean, *offers, "--out", tmp_path / "clean"]) == 0
+        capsys.readouterr()
+        assert run(["segment", "--snapshots", dirty, *offers, "--out", tmp_path / "dirty"]) == 0
+        err = capsys.readouterr().err
+        assert "warning: 1 venues skipped: readings span 3660 days or more (first: far)" in err
+        for name in ("campaigns.csv", "skipped.csv", "offer_stats.json"):
+            assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+    def test_report_warns_about_malformed_venue_lines(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl"]
+        assert run(["test", *common, "--bootstraps", 99, "--horizon", "short", "--out", out]) == 0
+        lines = (corpus_dir / "venues.jsonl").read_text().splitlines()
+        bad = json.dumps({**json.loads(lines[0]), "venue_id": "bad", "lat": 95.0})
+        venues = tmp_path / "venues.jsonl"
+        venues.write_text("\n".join([*lines, bad]) + "\n")
+        capsys.readouterr()
+        assert run(["report", "--effects", out / "effects.csv", "--venues", venues, "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert f"warning: 1 malformed records skipped (first: line {len(lines) + 1}: " in err
+        report = json.loads((out / "report.json").read_text())
+        assert report["cohort_summary"]["n_venues"] == len(lines)
 
     def test_invalid_knob_exits_1(self, corpus_dir, tmp_path):
         code = run([

@@ -9,6 +9,7 @@ from campaignfx.effect import (
     EffectLabel,
     Horizon,
     TestConfig,
+    _resample_means,
     block_resample,
     bootstrap_power,
     bootstrap_test,
@@ -259,3 +260,53 @@ class TestEvaluateEffect:
             powers.append(mean_power / runs)
         for lo, hi in zip(powers, powers[1:]):
             assert hi >= lo - 0.03
+
+
+samples = st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=2, max_size=60)
+
+
+class TestBootstrapKernel:
+    """Power and CI come from the null draws shifted by the observed difference."""
+
+    @given(samples, samples, st.integers(1, 4), st.integers(0, 2**32))
+    def test_p_value_and_critical_interval_shared(self, before, other, block_len, seed):
+        config = TestConfig(bootstraps=199, block_len=block_len)
+        res = evaluate_effect(before, other, Horizon.SHORT_TERM, config, derive_rng(seed))
+        null = bootstrap_test(before, other, bootstraps=199, block_len=block_len, rng=derive_rng(seed))
+        power = bootstrap_power(before, other, bootstraps=199, block_len=block_len, rng=derive_rng(seed))
+        assert res.p_value == null.p_value
+        assert res.diff == null.diff
+        assert (res.ci_low, res.ci_high) == (null.crit_low + null.diff, null.crit_high + null.diff)
+        assert res.power == power
+
+    @given(
+        st.sampled_from([4, 8, 16, 32, 64]),
+        st.sampled_from([4, 8, 16, 32, 64]),
+        st.integers(1, 3),
+        st.sampled_from([(33, 1 / 16), (65, 1 / 8), (129, 1 / 16)]),
+        st.integers(0, 2**32),
+    )
+    def test_exact_on_integer_data(self, n_a, n_b, block_len, draws, seed):
+        # integer data, power-of-two sizes and quantile positions on whole
+        # indices: every floating-point step is exact, so equality is bitwise
+        bootstraps, alpha = draws
+        r = derive_rng(seed, "data")
+        a = r.integers(0, 50, n_a).astype(float)
+        b = r.integers(0, 50, n_b).astype(float)
+        config = TestConfig(bootstraps=bootstraps, alpha=alpha, block_len=block_len)
+        res = evaluate_effect(a, b, Horizon.SHORT_TERM, config, derive_rng(seed))
+        null = bootstrap_test(a, b, bootstraps=bootstraps, alpha=alpha, block_len=block_len,
+                              rng=derive_rng(seed))
+        rng = derive_rng(seed)  # same starts as the kernel's centered draws
+        alt = _resample_means(b, block_len, bootstraps, rng) - _resample_means(a, block_len, bootstraps, rng)
+        outside = (alt < null.crit_low) | (alt > null.crit_high)
+        assert res.power == np.count_nonzero(outside) / bootstraps
+        ci_low, ci_high = np.quantile(alt, [alpha / 2.0, 1.0 - alpha / 2.0])
+        assert (res.ci_low, res.ci_high) == (ci_low, ci_high)
+
+    @given(samples, st.integers(1, 4), st.integers(0, 2**32))
+    def test_uncentered_means_are_shifted_null_means(self, values, block_len, seed):
+        x = np.asarray(values)
+        raw = _resample_means(x, block_len, 99, derive_rng(seed))
+        shifted = _resample_means(x - x.mean(), block_len, 99, derive_rng(seed)) + x.mean()
+        assert np.max(np.abs(raw - shifted)) <= 1e-12

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,14 @@ class TestLoadCorpusFromLines:
         assert from_lines.periods == structured.periods
         for venue_id, ds in structured.series.items():
             assert np.allclose(from_lines.series[venue_id].values, ds.values)
+
+    def test_long_span_venue_counted_apart(self):
+        synth = generate_corpus_data(SynthConfig(n_venues=10, days=80, promo_fraction=0.4, seed=9))
+        far = [json.dumps({"venue_id": "far", "ts": ts, "checkins": 0, "users": 0,
+                           "specials": 0, "tips": 0, "likes": 0}) for ts in (0, 1e300)]
+        one = [json.dumps({"venue_id": "one", "ts": 0, "checkins": 0, "users": 0,
+                           "specials": 0, "tips": 0, "likes": 0})]
+        loaded = load_corpus(synth.snapshot_lines() + far + one, synth.offer_lines())
+        assert loaded.long_span_venues == ["far"]
+        assert loaded.short_series_venues == ["one"]
+        assert set(loaded.series) == set(synth.snapshots)

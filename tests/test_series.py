@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from campaignfx.errors import IneligibleCampaign, InsufficientData
+from campaignfx.errors import IneligibleCampaign, InsufficientData, SpanTooLong
 from campaignfx.series import (
+    MAX_GRID_DAYS,
     DailyCumulative,
     SnapshotReading,
     counter_at,
@@ -107,6 +108,14 @@ class TestInterpolateDaily:
     def test_no_extrapolation_beyond_last_reading(self):
         dc = interpolate_daily(make_snapshots([0.0, 86400.0 * 2.5], [0, 10]))
         assert len(dc.values) == 3  # grid days 0, 1, 2 only
+
+    def test_span_bounded_before_allocating(self):
+        limit = MAX_GRID_DAYS * 86400.0
+        dc = interpolate_daily(make_snapshots([0.0, limit - 1.0], [0, 1]))
+        assert len(dc.values) == MAX_GRID_DAYS
+        for ts in ([0.0, limit], [0.0, 1e300], [-1e308, 1e308]):
+            with pytest.raises(SpanTooLong):
+                interpolate_daily(make_snapshots(ts, [0, 1]))
 
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=2, max_size=40))
     def test_anomaly_count_matches_raw_decreases(self, counts):
