@@ -70,6 +70,6 @@ from .series import (
     parse_snapshots,
     segment,
 )
-from .synth import SynthConfig, generate_corpus, generate_corpus_data, oracle_expected_d
+from .synth import SynthConfig, generate_corpus_data, oracle_expected_d
 
 __version__ = "0.1.0"

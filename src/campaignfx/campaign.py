@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+from .cohort import ecdf_points
 from .errors import IneligibleCampaign
 from .series import (
     BEFORE_DAYS,
@@ -197,11 +198,6 @@ def eligible_campaigns(
                 SkippedCampaign(period.venue_id, period.start_day, period.end_day, "MissingSeries")
             )
             continue
-        if period.duration < min_duration:
-            report.skipped.append(
-                SkippedCampaign(period.venue_id, period.start_day, period.end_day, "ShortCampaign")
-            )
-            continue
         try:
             segments = segment(
                 s, period.start_day, period.end_day,
@@ -235,13 +231,5 @@ def offer_stats(periods: Sequence[PromotionPeriod]) -> OfferStats:
 
     total = sum(counts.values())
     shares = {k: c / total for k, c in counts.items()} if total else {}
-    ecdf: dict[str, list[tuple[int, float]]] = {}
-    for name, values in durations.items():
-        values.sort()
-        n = len(values)
-        points = []
-        for i, v in enumerate(values, start=1):
-            if i == n or values[i] != v:
-                points.append((v, i / n))
-        ecdf[name] = points
+    ecdf = {name: ecdf_points(sorted(values)) for name, values in durations.items()}
     return OfferStats(kind_counts=counts, kind_shares=shares, duration_ecdf=ecdf)

@@ -18,7 +18,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -123,12 +123,12 @@ def _stage_inputs(
         lines.append(_read_lines(args.venues))
     corpus = load_corpus(*lines)
     _warn_parse_errors(corpus.parse_errors)
-    if corpus.long_span_venues:
-        print(
-            f"warning: {len(corpus.long_span_venues)} venues skipped: readings span "
-            f"{MAX_GRID_DAYS} days or more (first: {corpus.long_span_venues[0]})",
-            file=sys.stderr,
-        )
+    for skipped, what, why in (
+        (corpus.long_span_venues, "venues", f"readings span {MAX_GRID_DAYS} days or more"),
+        ([o.special_id for o in corpus.unplaced_offers], "offers", "venue has no usable daily series"),
+    ):
+        if skipped:
+            print(f"warning: {len(skipped)} {what} skipped: {why} (first: {skipped[0]})", file=sys.stderr)
     if venues_required and not corpus.profiles:
         raise InvalidConfig(venues_required)
     return config, corpus, segment_stage(corpus, config)
@@ -161,18 +161,11 @@ def cmd_synth(args: argparse.Namespace) -> Artifacts:
 
 def cmd_segment(args: argparse.Namespace) -> Artifacts:
     config, corpus, eligibility = _stage_inputs(args)
-    stats = offer_stats(corpus.periods)
-    stats_payload = {
-        "kind_counts": stats.kind_counts,
-        "kind_shares": stats.kind_shares,
-        "duration_ecdf": {k: [[d, f] for d, f in points]
-                          for k, points in stats.duration_ecdf.items()},
-    }
     print(f"eligible campaigns: {len(eligibility.eligible)}, skipped: {len(eligibility.skipped)}")
     return {
         "campaigns.csv": write_campaigns_csv(eligibility),
         "skipped.csv": write_skipped_csv(eligibility),
-        "offer_stats.json": render_report(stats_payload),
+        "offer_stats.json": render_report(asdict(offer_stats(corpus.periods))),
     }
 
 

@@ -315,16 +315,17 @@ class EcdfResult:
     undefined_count: int
 
 
+def ecdf_points(sorted_values: Sequence) -> list[tuple]:
+    """``(value, share of values <= it)`` at each distinct value of an ascending sequence."""
+    n = len(sorted_values)
+    return [
+        (v, i / n) for i, v in enumerate(sorted_values, start=1)
+        if i == n or sorted_values[i] != v
+    ]
+
+
 def effect_ecdf(ds: Sequence[Optional[float]]) -> EcdfResult:
     """Right-continuous empirical CDF points of the defined effect sizes."""
     defined = [d for d in ds if d is not None]
-    undefined = len(ds) - len(defined)
-    if not defined:
-        return EcdfResult(points=[], n=0, undefined_count=undefined)
-    values = np.sort(np.asarray(defined, dtype=float))
-    n = len(values)
-    points = []
-    for i, v in enumerate(values, start=1):
-        if i == n or values[i] != v:
-            points.append((float(v), i / n))
-    return EcdfResult(points=points, n=n, undefined_count=undefined)
+    values = np.sort(np.asarray(defined, dtype=float)).tolist()
+    return EcdfResult(points=ecdf_points(values), n=len(values), undefined_count=len(ds) - len(defined))

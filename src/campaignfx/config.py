@@ -94,10 +94,8 @@ def build_run_config(
             raise InvalidConfig(f"unknown config key {name!r} ({source})")
         current = getattr(config, name)
         try:
-            if isinstance(current, bool):
-                coerced: object = str(value).lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                coerced = int(str(value))
+            if isinstance(current, int):
+                coerced: object = int(str(value))
             elif isinstance(current, float):
                 coerced = float(str(value))
             else:

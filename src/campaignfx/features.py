@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -22,7 +23,7 @@ from .cohort import CATEGORIES, Category, VenueProfile
 from .effect import EffectLabel, Horizon
 from .errors import MissingCounter
 from .geo import RadiusIndex
-from .series import DAY_SECONDS, SegmentedSeries, VenueSnapshots, counter_at
+from .series import DAY_SECONDS, SegmentedSeries, VenueSnapshots, counter_at, csv_text
 
 NEIGHBORHOOD_RADIUS_MILES = 0.5
 LOYALTY_IMPUTED = 1.0  # minimum achievable return rate
@@ -223,18 +224,15 @@ def design_matrix(
     return data, columns
 
 
+_column_values = operator.itemgetter(*VENUE_COLUMNS, *PROMO_COLUMNS, *GEO_COLUMNS)
+
+
 def write_features_csv(rows: Sequence[FeatureVector]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for fv in sorted(rows, key=lambda r: (r.venue_id, r.start_day, r.horizon.value)):
-        values = feature_values(fv)
-        record = [fv.venue_id, fv.start_day, fv.end_day, fv.horizon.value]
-        record.extend(repr(values[c]) for c in VENUE_COLUMNS + PROMO_COLUMNS + GEO_COLUMNS)
-        record.append("" if fv.d_observed is None else repr(fv.d_observed))
-        record.append("" if fv.label is None else fv.label.value)
-        writer.writerow(record)
-    return buf.getvalue()
+    return csv_text(CSV_HEADER, (
+        (fv.venue_id, fv.start_day, fv.end_day, fv.horizon,
+         *_column_values(feature_values(fv)), fv.d_observed, fv.label)
+        for fv in sorted(rows, key=lambda r: (r.venue_id, r.start_day, r.horizon.value))
+    ))
 
 
 def read_features_csv(text: str) -> list[FeatureVector]:

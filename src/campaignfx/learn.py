@@ -83,7 +83,7 @@ def _exact_two_sided_p(u: float, n1: int, n2: int) -> float:
     total = counts.sum()
     u_small = min(u, max_u - u)
     tail = counts[: int(math.floor(u_small)) + 1].sum()
-    return min(1.0, 2.0 * tail / total)
+    return float(min(1.0, 2.0 * tail / total))
 
 
 @dataclass
@@ -144,9 +144,6 @@ class Metrics:
     accuracy: float
     f_measure: float
     auc: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {"accuracy": self.accuracy, "f_measure": self.f_measure, "auc": self.auc}
 
 
 def _metrics_from_scores(y: np.ndarray, scores: np.ndarray) -> Metrics:

@@ -38,6 +38,7 @@ from .series import (
     ParseError,
     SegmentedSeries,
     VenueSnapshots,
+    csv_text,
     daily_checkins,
     interpolate_daily,
     parse_snapshots,
@@ -50,28 +51,30 @@ class LoadedCorpus:
     snapshots: dict[str, VenueSnapshots]
     cumulative: dict[str, DailyCumulative]
     series: dict[str, DailySeries]
-    raw_offers: list[RawOffer]
-    offers_by_venue: dict[str, list[SpecialOffer]]
     periods: list[PromotionPeriod]
     profiles: list[VenueProfile]
     parse_errors: list[ParseError] = field(default_factory=list)
     short_series_venues: list[str] = field(default_factory=list)
     long_span_venues: list[str] = field(default_factory=list)  # readings span MAX_GRID_DAYS or more
+    unplaced_offers: list[RawOffer] = field(default_factory=list)  # venue has no usable daily series
 
 
 def _index_offers(
     raw_offers: Sequence[RawOffer], cumulative: dict[str, DailyCumulative]
-) -> tuple[dict[str, list[SpecialOffer]], list[PromotionPeriod]]:
+) -> tuple[list[PromotionPeriod], list[RawOffer]]:
+    """Promotion periods of the offers placed on their venue's grid, and the offers that could not be."""
     offers_by_venue: dict[str, list[SpecialOffer]] = {}
+    unplaced: list[RawOffer] = []
     for raw in raw_offers:
         dc = cumulative.get(raw.venue_id)
         if dc is None:
+            unplaced.append(raw)
             continue
         offers_by_venue.setdefault(raw.venue_id, []).append(align_offer(raw, dc.origin_ts))
     periods: list[PromotionPeriod] = []
     for venue_id in sorted(offers_by_venue):
         periods.extend(build_promotion_periods(offers_by_venue[venue_id]))
-    return offers_by_venue, periods
+    return periods, unplaced
 
 
 def build_corpus(
@@ -96,7 +99,7 @@ def build_corpus(
             continue
         cumulative[venue_id] = dc
         series[venue_id] = ds
-    offers_by_venue, periods = _index_offers(raw_offers, cumulative)
+    periods, unplaced = _index_offers(raw_offers, cumulative)
     promoted = {p.venue_id for p in periods}
     resolved_profiles = [
         VenueProfile(
@@ -109,13 +112,12 @@ def build_corpus(
         snapshots=dict(snapshots),
         cumulative=cumulative,
         series=series,
-        raw_offers=list(raw_offers),
-        offers_by_venue=offers_by_venue,
         periods=periods,
         profiles=resolved_profiles,
         parse_errors=parse_errors or [],
         short_series_venues=short_series,
         long_span_venues=long_span,
+        unplaced_offers=unplaced,
     )
 
 
@@ -335,25 +337,17 @@ EFFECTS_CSV_HEADER = [
 
 
 def write_effects_csv(effects: Sequence[CampaignEffect]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EFFECTS_CSV_HEADER)
     ordered = sorted(
         effects,
         key=lambda e: (e.group_id if e.group_id is not None else -1,
                        e.venue_id, e.start_day, e.horizon.value),
     )
-    for e in ordered:
-        r = e.result
-        writer.writerow([
-            "" if e.group_id is None else e.group_id,
-            e.venue_id, e.start_day, e.end_day, e.horizon.value,
-            repr(r.diff),
-            "" if r.cohens_d is None else repr(r.cohens_d),
-            repr(r.p_value), repr(r.power), repr(r.ci_low), repr(r.ci_high),
-            r.label.value, int(r.degenerate),
-        ])
-    return buf.getvalue()
+    return csv_text(EFFECTS_CSV_HEADER, (
+        (e.group_id, e.venue_id, e.start_day, e.end_day, e.horizon,
+         e.result.diff, e.result.cohens_d, e.result.p_value, e.result.power,
+         e.result.ci_low, e.result.ci_high, e.result.label, e.result.degenerate)
+        for e in ordered
+    ))
 
 
 def read_effects_csv(text: str) -> list[CampaignEffect]:
@@ -386,17 +380,10 @@ GROUPS_CSV_HEADER = ["group_id", "venue_id", "pseudo_start", "pseudo_end"]
 
 
 def write_groups_csv(groups: Sequence[ReferenceGroup]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(GROUPS_CSV_HEADER)
-    for group in groups:
-        for member in sorted(group.members, key=lambda m: m.venue_id):
-            writer.writerow([
-                group.group_id, member.venue_id,
-                "" if member.pseudo_start is None else member.pseudo_start,
-                "" if member.pseudo_end is None else member.pseudo_end,
-            ])
-    return buf.getvalue()
+    return csv_text(GROUPS_CSV_HEADER, (
+        (group.group_id, m.venue_id, m.pseudo_start, m.pseudo_end)
+        for group in groups for m in sorted(group.members, key=lambda m: m.venue_id)
+    ))
 
 
 def read_groups_csv(text: str) -> list[ReferenceGroup]:
@@ -418,23 +405,16 @@ CAMPAIGNS_CSV_HEADER = ["venue_id", "start_day", "end_day", "duration", "long_te
 
 
 def write_campaigns_csv(eligibility: EligibilityReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CAMPAIGNS_CSV_HEADER)
     ordered = sorted(eligibility.eligible, key=lambda c: (c.period.venue_id, c.period.start_day))
-    for c in ordered:
-        writer.writerow([
-            c.period.venue_id, c.segments.start_day, c.segments.end_day,
-            c.segments.end_day - c.segments.start_day + 1,
-            int(c.long_term_eligible),
-        ])
-    return buf.getvalue()
+    return csv_text(CAMPAIGNS_CSV_HEADER, (
+        (c.period.venue_id, c.segments.start_day, c.segments.end_day,
+         c.segments.end_day - c.segments.start_day + 1, c.long_term_eligible)
+        for c in ordered
+    ))
 
 
 def write_skipped_csv(eligibility: EligibilityReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["venue_id", "start_day", "end_day", "reason"])
-    for s in sorted(eligibility.skipped, key=lambda s: (s.venue_id, s.start_day)):
-        writer.writerow([s.venue_id, s.start_day, s.end_day, s.reason])
-    return buf.getvalue()
+    return csv_text(["venue_id", "start_day", "end_day", "reason"], (
+        (s.venue_id, s.start_day, s.end_day, s.reason)
+        for s in sorted(eligibility.skipped, key=lambda s: (s.venue_id, s.start_day))
+    ))

@@ -9,9 +9,8 @@ the with- and without-promotion-feature logistic models.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .cohort import CATEGORIES, FractionMode, VenueProfile, effect_ecdf, increase_fraction
@@ -32,6 +31,7 @@ from .learn import (
     train_model,
 )
 from .pipeline import CampaignEffect, _horizons
+from .series import csv_text
 
 # numeric features reported in the per-feature table
 TABLE_FEATURES = [
@@ -59,12 +59,23 @@ def _horizon_key(horizon: Horizon) -> str:
     return "short_term" if horizon is Horizon.SHORT_TERM else "long_term"
 
 
-def _fraction_entry(results, mode, groups=None) -> Optional[dict]:
-    try:
-        f = increase_fraction(results, mode, groups=groups)
-    except EmptyDenominator:
-        return None
-    return {"fraction": f.fraction, "ci_low": f.ci_low, "ci_high": f.ci_high, "n": f.n}
+_FRACTION_MODES = (("raw_sign", FractionMode.RAW_SIGN), ("significant_only", FractionMode.SIGNIFICANT_ONLY))
+
+
+def _fractions(results, groups=None) -> dict:
+    """Increase fraction of ``results`` in each mode; ``None`` where the mode counts nothing."""
+    out = {}
+    for key, mode in _FRACTION_MODES:
+        try:
+            out[key] = asdict(increase_fraction(results, mode, groups=groups))
+        except EmptyDenominator:
+            out[key] = None
+    return out
+
+
+def _ecdf(ds) -> dict:
+    ecdf = effect_ecdf(ds)
+    return {"points": ecdf.points, "n": ecdf.n, "undefined": ecdf.undefined_count}
 
 
 def effect_tables(
@@ -82,58 +93,23 @@ def effect_tables(
             continue
         entry: dict = {"n_promotion": len(promo), "n_reference": len(ref)}
         promo_results = [e.result for e in promo]
-        ref_results = [e.result for e in ref]
-        ref_groups = [e.group_id for e in ref]
+        ecdf_tables = {}
         if promo_results:
-            entry["promotion"] = {
-                "raw_sign": _fraction_entry(promo_results, FractionMode.RAW_SIGN),
-                "significant_only": _fraction_entry(promo_results, FractionMode.SIGNIFICANT_ONLY),
-            }
+            entry["promotion"] = _fractions(promo_results)
             entry["label_counts"] = {
                 label.value: sum(1 for r in promo_results if r.label is label)
                 for label in EffectLabel
             }
-        if ref_results:
-            entry["reference"] = {
-                "raw_sign": _fraction_entry(ref_results, FractionMode.RAW_SIGN, groups=ref_groups),
-                "significant_only": _fraction_entry(
-                    ref_results, FractionMode.SIGNIFICANT_ONLY, groups=ref_groups
-                ),
-            }
+            ecdf_tables["all"] = _ecdf([r.cohens_d for r in promo_results])
+        if ref:
+            entry["reference"] = _fractions([e.result for e in ref], groups=[e.group_id for e in ref])
         by_category = {}
         for cat in CATEGORIES:
-            cat_results = [
-                e.result for e in promo if category_of.get(e.venue_id) == cat.value
-            ]
-            if not cat_results:
-                continue
-            by_category[cat.value] = {
-                "raw_sign": _fraction_entry(cat_results, FractionMode.RAW_SIGN),
-                "significant_only": _fraction_entry(cat_results, FractionMode.SIGNIFICANT_ONLY),
-            }
+            cat_results = [e.result for e in promo if category_of.get(e.venue_id) == cat.value]
+            if cat_results:
+                by_category[cat.value] = _fractions(cat_results)
+                ecdf_tables[cat.value] = _ecdf([r.cohens_d for r in cat_results])
         entry["promotion_by_category"] = by_category
-
-        ecdf_tables = {}
-        if promo_results:
-            overall = effect_ecdf([r.cohens_d for r in promo_results])
-            ecdf_tables["all"] = {
-                "points": [[x, f] for x, f in overall.points],
-                "n": overall.n,
-                "undefined": overall.undefined_count,
-            }
-            for cat in CATEGORIES:
-                ds = [
-                    e.result.cohens_d for e in promo
-                    if category_of.get(e.venue_id) == cat.value
-                ]
-                if not ds:
-                    continue
-                ecdf = effect_ecdf(ds)
-                ecdf_tables[cat.value] = {
-                    "points": [[x, f] for x, f in ecdf.points],
-                    "n": ecdf.n,
-                    "undefined": ecdf.undefined_count,
-                }
         entry["effect_ecdf"] = ecdf_tables
         tables[_horizon_key(horizon)] = entry
     return tables
@@ -168,16 +144,8 @@ def feature_auc_table(rows: Sequence[FeatureVector]) -> list[dict]:
 
 
 def feature_auc_csv(table: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["feature", "auc_short", "p_short", "auc_long", "p_long"])
-    for rec in table:
-        writer.writerow([
-            rec["feature"],
-            *("" if rec[k] is None else repr(rec[k])
-              for k in ("auc_short", "p_short", "auc_long", "p_long")),
-        ])
-    return buf.getvalue()
+    columns = ("feature", "auc_short", "p_short", "auc_long", "p_long")
+    return csv_text(columns, ([rec[k] for k in columns] for rec in table))
 
 
 def train_models(
@@ -226,7 +194,7 @@ def train_models(
                     record["skipped"] = str(exc)
                     metrics_records.append(record)
                     continue
-                record["metrics"] = cv.metrics.as_dict()
+                record["metrics"] = asdict(cv.metrics)
                 if kind == "logistic":
                     cv_scores[combo] = cv.scores
                 if eval_rows:
@@ -234,7 +202,7 @@ def train_models(
                     if kind == "logistic":
                         full_logistic[combo] = model
                     record["out_of_sample"] = {
-                        "metrics": out_of_sample_eval(model, eval_rows).as_dict(),
+                        "metrics": asdict(out_of_sample_eval(model, eval_rows)),
                         "n_rows": len(eval_rows),
                     }
                 metrics_records.append(record)

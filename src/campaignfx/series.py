@@ -25,6 +25,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -239,6 +240,28 @@ def _csv_rows(lines: Sequence[str], fields: Sequence[str], errors: list[ParseErr
         return
     for line_no, row in enumerate(reader, start=2):
         yield line_no, {k: v for k, v in row.items() if k is not None}
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV text of ``header`` then ``rows``, one ``\\n``-terminated line each.
+
+    ``None`` writes an empty cell (the csv module's rule), a bool ``0``/``1``
+    and an enum its value; every other cell, floats included, is written as
+    ``str`` writes it.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _csv_cell(value: object) -> object:
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, Enum):
+        return value.value
+    return value
 
 
 def _snapshot_row(obj: dict) -> tuple[str, tuple]:

@@ -426,13 +426,3 @@ def generate_corpus_data(cfg: SynthConfig) -> SynthCorpus:
         ))
     return SynthCorpus(venues=venues, ground_truth=ground_truth)
 
-
-def generate_corpus(cfg: SynthConfig) -> tuple[list[str], list[str], list[str], list[PlantedEffect]]:
-    """Corpus rendered as JSONL lines plus the structured ground truth."""
-    corpus = generate_corpus_data(cfg)
-    return (
-        corpus.snapshot_lines(),
-        corpus.offer_lines(),
-        corpus.venue_lines(),
-        corpus.ground_truth,
-    )

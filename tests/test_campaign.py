@@ -121,6 +121,7 @@ class TestOfferStats:
         periods = build_promotion_periods([offer(1, 3, kind=OfferKind.FLASH)])
         stats = offer_stats(periods)
         assert stats.duration_ecdf["Flash"] == [(3, 1.0)]
+        assert type(stats.duration_ecdf["Flash"][0][0]) is int  # offer_stats.json keeps whole days
 
     def test_kind_shares(self):
         offers = [offer(i * 10, i * 10 + 2, kind=OfferKind.FREQUENCY, special_id=f"f{i}") for i in range(3)]

@@ -195,6 +195,22 @@ class TestPipelineCommands:
         for name in ("campaigns.csv", "skipped.csv", "offer_stats.json"):
             assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
+    def test_offer_for_venue_without_series_is_counted(self, corpus_dir, tmp_path, capsys):
+        snapshots = ["--snapshots", corpus_dir / "snapshots.jsonl"]
+        clean = corpus_dir / "offers.jsonl"
+        first = json.loads(clean.read_text().splitlines()[0])
+        dirty = tmp_path / "offers.jsonl"
+        dirty.write_text(
+            clean.read_text() + json.dumps({**first, "venue_id": "ghost", "special_id": "ghost-s0"}) + "\n"
+        )
+        assert run(["segment", *snapshots, "--offers", clean, "--out", tmp_path / "clean"]) == 0
+        assert "offers skipped" not in capsys.readouterr().err
+        assert run(["segment", *snapshots, "--offers", dirty, "--out", tmp_path / "dirty"]) == 0
+        err = capsys.readouterr().err
+        assert "warning: 1 offers skipped: venue has no usable daily series (first: ghost-s0)" in err
+        for name in ("campaigns.csv", "skipped.csv", "offer_stats.json"):
+            assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
     def test_report_warns_about_malformed_venue_lines(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "run"
         common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl"]

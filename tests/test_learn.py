@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,12 @@ class TestMannWhitney:
         neg = rng.normal(0.0, 1.0, 55)
         result = mann_whitney(pos, neg)
         assert result.p_value < 0.01
+
+    def test_p_value_is_a_python_float_on_both_paths(self):
+        exact = mann_whitney([3.0, 4.0, 5.0], [1.0, 2.0])  # small and tie-free: exact p
+        normal = mann_whitney([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])  # ties: normal approximation
+        assert type(exact.p_value) is float
+        assert type(normal.p_value) is float
 
     def test_null_p_roughly_uniform(self):
         small = 0
@@ -248,6 +257,20 @@ def make_rows(n, seed, signal=2.0):
         )
         rows.append(_row(m_b, label))
     return rows
+
+
+class TestFeatureAucCsv:
+    def test_numeric_cells_parse_as_floats(self):
+        from campaignfx.report import feature_auc_csv, feature_auc_table
+
+        # m_b and c_a are tie-free across 6 + 6 rows, so their p-values take the exact path
+        text = feature_auc_csv(feature_auc_table(make_rows(12, 61)))
+        header, *records = list(csv.reader(io.StringIO(text)))
+        assert header == ["feature", "auc_short", "p_short", "auc_long", "p_long"]
+        cells = [cell for record in records for cell in record[1:] if cell]
+        assert len(cells) == 2 * len(records)  # short horizon filled, long horizon empty
+        for cell in cells:
+            float(cell)
 
 
 class TestCrossValidate:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from campaignfx.series import (
     DailyCumulative,
     SnapshotReading,
     counter_at,
+    csv_text,
     daily_checkins,
     format_timestamp,
     interpolate_daily,
@@ -211,6 +213,19 @@ class TestSegment:
             [seg.before, seg.during] + ([seg.after] if seg.after is not None else [])
         )
         assert np.all(np.diff(chained) == 1)  # strictly increasing day labels
+
+
+class TestCsvText:
+    def test_cell_rules(self):
+        class Kind(Enum):
+            A = "alpha"
+
+        text = csv_text(
+            ["none", "yes", "no", "kind", "float", "numpy", "int", "text"],
+            [(None, True, False, Kind.A, 0.1, np.float64(0.25), 7, "a,b")],
+        )
+        assert text == 'none,yes,no,kind,float,numpy,int,text\n,1,0,alpha,0.1,0.25,7,"a,b"\n'
+        assert csv_text(["a", "b"], []) == "a,b\n"
 
 
 class TestCountersAtDay:

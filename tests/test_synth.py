@@ -11,7 +11,6 @@ from campaignfx.synth import (
     delta_for_target_d,
     expected_effect_size,
     day_intensity,
-    generate_corpus,
     generate_corpus_data,
     oracle_expected_d,
 )
@@ -70,16 +69,16 @@ class TestGenerateCorpus:
             assert v.offers
 
     def test_bit_reproducible(self):
-        a = generate_corpus(small_config())
-        b = generate_corpus(small_config())
-        assert a[0] == b[0]
-        assert a[1] == b[1]
-        assert a[2] == b[2]
+        a = generate_corpus_data(small_config())
+        b = generate_corpus_data(small_config())
+        assert a.snapshot_lines() == b.snapshot_lines()
+        assert a.offer_lines() == b.offer_lines()
+        assert a.venue_lines() == b.venue_lines()
 
     def test_different_seed_differs(self):
-        a = generate_corpus(small_config(seed=1))
-        b = generate_corpus(small_config(seed=2))
-        assert a[0] != b[0]
+        a = generate_corpus_data(small_config(seed=1))
+        b = generate_corpus_data(small_config(seed=2))
+        assert a.snapshot_lines() != b.snapshot_lines()
 
     def test_cumulative_nondecreasing(self):
         corpus = generate_corpus_data(small_config())
@@ -122,13 +121,13 @@ class TestGenerateCorpus:
             assert np.array_equal(ds.values, venue.daily)
 
     def test_lines_parse_through_real_parsers(self):
-        snapshot_lines, offer_lines, venue_lines, gt = generate_corpus(small_config())
-        snaps = parse_snapshots(snapshot_lines)
+        corpus = generate_corpus_data(small_config())
+        snaps = parse_snapshots(corpus.snapshot_lines())
         assert snaps.error_count == 0
         assert len(snaps.readings) == 30
-        offers = parse_offers(offer_lines)
+        offers = parse_offers(corpus.offer_lines())
         assert offers.errors == []
-        venues = parse_venues(venue_lines)
+        venues = parse_venues(corpus.venue_lines())
         assert venues.errors == []
         assert len(venues.profiles) == 30
 
