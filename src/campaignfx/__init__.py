@@ -63,13 +63,12 @@ from .series import (
     DailyCumulative,
     DailySeries,
     SegmentedSeries,
-    SnapshotReading,
     VenueSnapshots,
     daily_checkins,
     interpolate_daily,
     parse_snapshots,
     segment,
 )
-from .synth import SynthConfig, generate_corpus_data, oracle_expected_d
+from .synth import SnapshotReading, SynthConfig, generate_corpus_data, oracle_expected_d
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .campaign import EligibilityReport, offer_stats
 from .cohort import parse_venues
@@ -100,6 +100,14 @@ def _read_lines(path: Path) -> list[str]:
     return path.read_text().splitlines()
 
 
+def _read_table(path: Path, reader: Callable[[str], list]) -> list:
+    """``reader`` of the artifact CSV at ``path``; a malformed table is an error naming the file."""
+    try:
+        return reader(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _warn_parse_errors(errors: Sequence[ParseError]) -> None:
     if errors:
         print(
@@ -172,7 +180,7 @@ def cmd_segment(args: argparse.Namespace) -> Artifacts:
 def cmd_test(args: argparse.Namespace) -> Artifacts:
     config, corpus, eligibility = _stage_inputs(args)
     if args.groups is not None:
-        groups = read_groups_csv(args.groups.read_text())
+        groups = _read_table(args.groups, read_groups_csv)
         effects = reference_test_stage(corpus, groups, config)
         print(f"tested {len(effects)} reference windows")
         return {"reference_effects.csv": write_effects_csv(effects)}
@@ -199,7 +207,7 @@ def cmd_features(args: argparse.Namespace) -> Artifacts:
     config, corpus, eligibility = _stage_inputs(
         args, venues_required="feature extraction requires a venues file"
     )
-    effects = read_effects_csv(args.effects.read_text())
+    effects = _read_table(args.effects, read_effects_csv)
     rows = features_stage(corpus, eligibility, effects, config)
     print(f"extracted {len(rows)} feature rows")
     return {"features.csv": write_features_csv(rows)}
@@ -207,7 +215,7 @@ def cmd_features(args: argparse.Namespace) -> Artifacts:
 
 def cmd_train(args: argparse.Namespace) -> Artifacts:
     config = _run_config(args)
-    rows = read_features_csv(args.features.read_text())
+    rows = _read_table(args.features, read_features_csv)
     metrics, gaps = train_models(rows, config)
     payload = {
         "models": metrics,
@@ -221,9 +229,9 @@ def cmd_train(args: argparse.Namespace) -> Artifacts:
 
 def cmd_report(args: argparse.Namespace) -> Artifacts:
     config = _run_config(args)
-    effects = read_effects_csv(args.effects.read_text())
-    reference = read_effects_csv(args.reference_effects.read_text()) if args.reference_effects else []
-    feature_rows = read_features_csv(args.features.read_text()) if args.features else []
+    effects = _read_table(args.effects, read_effects_csv)
+    reference = _read_table(args.reference_effects, read_effects_csv) if args.reference_effects else []
+    feature_rows = _read_table(args.features, read_features_csv) if args.features else []
     profiles = []
     if args.venues:
         venue_report = parse_venues(_read_lines(args.venues))

@@ -9,8 +9,6 @@ check-ins, same-type competition, and type diversity.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -23,7 +21,7 @@ from .cohort import CATEGORIES, Category, VenueProfile
 from .effect import EffectLabel, Horizon
 from .errors import MissingCounter
 from .geo import RadiusIndex
-from .series import DAY_SECONDS, SegmentedSeries, VenueSnapshots, counter_at, csv_text
+from .series import DAY_SECONDS, SegmentedSeries, VenueSnapshots, counter_at, csv_text, read_csv_table
 
 NEIGHBORHOOD_RADIUS_MILES = 0.5
 LOYALTY_IMPUTED = 1.0  # minimum achievable return rate
@@ -235,42 +233,44 @@ def write_features_csv(rows: Sequence[FeatureVector]) -> str:
     ))
 
 
+def _feature_row(record: dict) -> FeatureVector:
+    categories = [c for c in CATEGORIES if float(record[f"cat_{c.value}"]) == 1.0]
+    if len(categories) != 1:
+        raise ValueError(f"{len(categories)} cat_* cells are 1, not exactly one")
+    kinds = frozenset(k for k in OFFER_KINDS if float(record[f"xi_{k.value}"]) == 1.0)
+    loyalty_missing = float(record["loyalty_missing"]) == 1.0
+    venue = VenueFeatures(
+        m_b=float(record["m_b"]),
+        c_a=float(record["c_a"]),
+        loyalty=None if loyalty_missing else float(record["loyalty"]),
+        likes=float(record["likes"]),
+        tips=float(record["tips"]),
+        category=categories[0],
+    )
+    promo = PromoFeatures(
+        duration=int(float(record["duration"])),
+        kinds=kinds,
+        n_s=float(record["n_s"]),
+    )
+    geo = GeoFeatures(
+        density=int(float(record["density"])),
+        area_pop=float(record["area_pop"]),
+        competitiveness=float(record["competitiveness"]),
+        entropy=float(record["entropy"]),
+        empty_neighborhood=float(record["density"]) == 0.0,
+    )
+    return FeatureVector(
+        venue_id=record["venue_id"],
+        start_day=int(record["start_day"]),
+        end_day=int(record["end_day"]),
+        horizon=Horizon(record["horizon"]),
+        venue=venue,
+        promo=promo,
+        geo=geo,
+        d_observed=float(record["d_observed"]) if record["d_observed"] else None,
+        label=EffectLabel(record["label"]) if record["label"] else None,
+    )
+
+
 def read_features_csv(text: str) -> list[FeatureVector]:
-    reader = csv.DictReader(io.StringIO(text))
-    rows: list[FeatureVector] = []
-    for record in reader:
-        category = next(c for c in CATEGORIES if float(record[f"cat_{c.value}"]) == 1.0)
-        kinds = frozenset(k for k in OFFER_KINDS if float(record[f"xi_{k.value}"]) == 1.0)
-        loyalty_missing = float(record["loyalty_missing"]) == 1.0
-        venue = VenueFeatures(
-            m_b=float(record["m_b"]),
-            c_a=float(record["c_a"]),
-            loyalty=None if loyalty_missing else float(record["loyalty"]),
-            likes=float(record["likes"]),
-            tips=float(record["tips"]),
-            category=category,
-        )
-        promo = PromoFeatures(
-            duration=int(float(record["duration"])),
-            kinds=kinds,
-            n_s=float(record["n_s"]),
-        )
-        geo = GeoFeatures(
-            density=int(float(record["density"])),
-            area_pop=float(record["area_pop"]),
-            competitiveness=float(record["competitiveness"]),
-            entropy=float(record["entropy"]),
-            empty_neighborhood=float(record["density"]) == 0.0,
-        )
-        rows.append(FeatureVector(
-            venue_id=record["venue_id"],
-            start_day=int(record["start_day"]),
-            end_day=int(record["end_day"]),
-            horizon=Horizon(record["horizon"]),
-            venue=venue,
-            promo=promo,
-            geo=geo,
-            d_observed=float(record["d_observed"]) if record["d_observed"] else None,
-            label=EffectLabel(record["label"]) if record["label"] else None,
-        ))
-    return rows
+    return read_csv_table(text, CSV_HEADER, _feature_row)

@@ -7,8 +7,6 @@ do not depend on execution order or the number of worker processes.
 
 from __future__ import annotations
 
-import csv
-import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -42,6 +40,7 @@ from .series import (
     daily_checkins,
     interpolate_daily,
     parse_snapshots,
+    read_csv_table,
     segment,
 )
 
@@ -350,30 +349,30 @@ def write_effects_csv(effects: Sequence[CampaignEffect]) -> str:
     ))
 
 
+def _effect_row(rec: dict) -> CampaignEffect:
+    result = EffectResult(
+        diff=float(rec["diff"]),
+        cohens_d=float(rec["cohens_d"]) if rec["cohens_d"] else None,
+        p_value=float(rec["p_value"]),
+        power=float(rec["power"]),
+        ci_low=float(rec["ci_low"]),
+        ci_high=float(rec["ci_high"]),
+        horizon=Horizon(rec["horizon"]),
+        label=EffectLabel(rec["label"]),
+        degenerate=bool(int(rec["degenerate"])),
+    )
+    return CampaignEffect(
+        venue_id=rec["venue_id"],
+        start_day=int(rec["start_day"]),
+        end_day=int(rec["end_day"]),
+        horizon=result.horizon,
+        result=result,
+        group_id=int(rec["group_id"]) if rec["group_id"] else None,
+    )
+
+
 def read_effects_csv(text: str) -> list[CampaignEffect]:
-    reader = csv.DictReader(io.StringIO(text))
-    out: list[CampaignEffect] = []
-    for rec in reader:
-        result = EffectResult(
-            diff=float(rec["diff"]),
-            cohens_d=float(rec["cohens_d"]) if rec["cohens_d"] else None,
-            p_value=float(rec["p_value"]),
-            power=float(rec["power"]),
-            ci_low=float(rec["ci_low"]),
-            ci_high=float(rec["ci_high"]),
-            horizon=Horizon(rec["horizon"]),
-            label=EffectLabel(rec["label"]),
-            degenerate=bool(int(rec["degenerate"])),
-        )
-        out.append(CampaignEffect(
-            venue_id=rec["venue_id"],
-            start_day=int(rec["start_day"]),
-            end_day=int(rec["end_day"]),
-            horizon=result.horizon,
-            result=result,
-            group_id=int(rec["group_id"]) if rec["group_id"] else None,
-        ))
-    return out
+    return read_csv_table(text, EFFECTS_CSV_HEADER, _effect_row)
 
 
 GROUPS_CSV_HEADER = ["group_id", "venue_id", "pseudo_start", "pseudo_end"]
@@ -386,18 +385,19 @@ def write_groups_csv(groups: Sequence[ReferenceGroup]) -> str:
     ))
 
 
+def _group_member(rec: dict) -> tuple[int, cohort_mod.ReferenceMember]:
+    return int(rec["group_id"]), cohort_mod.ReferenceMember(
+        venue_id=rec["venue_id"],
+        counterpart_id="",
+        pseudo_start=int(rec["pseudo_start"]) if rec["pseudo_start"] else None,
+        pseudo_end=int(rec["pseudo_end"]) if rec["pseudo_end"] else None,
+    )
+
+
 def read_groups_csv(text: str) -> list[ReferenceGroup]:
-    reader = csv.DictReader(io.StringIO(text))
     groups: dict[int, ReferenceGroup] = {}
-    for rec in reader:
-        gid = int(rec["group_id"])
-        group = groups.setdefault(gid, ReferenceGroup(group_id=gid))
-        group.members.append(cohort_mod.ReferenceMember(
-            venue_id=rec["venue_id"],
-            counterpart_id="",
-            pseudo_start=int(rec["pseudo_start"]) if rec["pseudo_start"] else None,
-            pseudo_end=int(rec["pseudo_end"]) if rec["pseudo_end"] else None,
-        ))
+    for gid, member in read_csv_table(text, GROUPS_CSV_HEADER, _group_member):
+        groups.setdefault(gid, ReferenceGroup(group_id=gid)).members.append(member)
     return [groups[g] for g in sorted(groups)]
 
 

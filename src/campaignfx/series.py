@@ -48,19 +48,6 @@ _MAX_FLOAT = sys.float_info.max
 _decode_prefix = json.JSONDecoder().raw_decode
 
 
-@dataclass(frozen=True, slots=True)
-class SnapshotReading:
-    """One API observation of a venue's cumulative counters (a synthetic corpus row)."""
-
-    venue_id: str
-    ts: float  # seconds since epoch, UTC
-    checkins: int
-    users: int
-    specials: int
-    tips: int
-    likes: int
-
-
 @dataclass(frozen=True, eq=False)
 class VenueSnapshots:
     """One venue's snapshot polls as read-only float64 columns sorted by ``ts``."""
@@ -78,14 +65,6 @@ class VenueSnapshots:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    @classmethod
-    def from_readings(cls, venue_id: str, readings: Sequence[SnapshotReading]) -> VenueSnapshots:
-        """Columns of ``readings``, which must already be in timestamp order."""
-        return cls(venue_id, *(
-            np.array([getattr(r, name) for r in readings], dtype=float)
-            for name in ("ts", "checkins", "users", "tips", "likes")
-        ))
 
 
 @dataclass
@@ -184,7 +163,7 @@ def parse_records(
     lines: Iterable[str], convert: Callable[[dict], object], errors: list[ParseError],
     csv_fields: Sequence[str] = (),
 ) -> Iterator:
-    """Yield ``convert`` of each JSONL record; each bad line is appended to ``errors`` and skipped.
+    """``convert`` of each JSONL record, lazily; each bad line is appended to ``errors`` and skipped.
 
     With ``csv_fields``, lines whose first non-blank one is not a JSON object
     are CSV under a header naming every one of ``csv_fields``. A line fails
@@ -194,9 +173,28 @@ def parse_records(
     """
     lines = list(lines)
     if csv_fields and _sniff_format(lines) == "csv":
-        records = _csv_rows(lines, csv_fields, errors)
-    else:
-        records = ((line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip())
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
+        return _convert_records(_csv_rows(text, csv_fields, errors), convert, errors)
+    records = ((line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip())
+    return _convert_records(records, convert, errors)
+
+
+def read_csv_table(text: str, fields: Sequence[str], convert: Callable[[dict], object]) -> list:
+    """``convert`` of every row of CSV ``text``, whose header must name every one of ``fields``.
+
+    Rows fail as in ``parse_records``, but a table is read whole or not at
+    all: any failure raises ``ValueError`` naming the line of the first.
+    """
+    errors: list[ParseError] = []
+    rows = list(_convert_records(_csv_rows(text, fields, errors), convert, errors))
+    if errors:
+        raise ValueError(f"line {errors[0].line_no}: {errors[0].message}")
+    return rows
+
+
+def _convert_records(records: Iterable[tuple[int, object]], convert: Callable[[dict], object],
+                     errors: list[ParseError]) -> Iterator:
+    """``convert`` of each ``(line_no, record)``; each failure is appended to ``errors`` and skipped."""
     for line_no, record in records:
         try:
             if type(record) is str:  # a JSONL line; CSV rows arrive as dicts
@@ -233,10 +231,11 @@ def _sniff_format(lines: Sequence[str]) -> str:
     return "jsonl"
 
 
-def _csv_rows(lines: Sequence[str], fields: Sequence[str], errors: list[ParseError]):
-    reader = csv.DictReader(io.StringIO("".join(line if line.endswith("\n") else line + "\n" for line in lines)))
-    if reader.fieldnames is None or set(fields) - set(reader.fieldnames):
-        errors.append(ParseError(1, "CSV header missing required columns"))
+def _csv_rows(text: str, fields: Sequence[str], errors: list[ParseError]):
+    reader = csv.DictReader(io.StringIO(text))
+    missing = [name for name in fields if name not in (reader.fieldnames or ())]
+    if missing:
+        errors.append(ParseError(1, f"CSV header missing required columns: {', '.join(missing)}"))
         return
     for line_no, row in enumerate(reader, start=2):
         yield line_no, {k: v for k, v in row.items() if k is not None}

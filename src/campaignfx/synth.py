@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,13 +22,14 @@ from .campaign import OFFER_KINDS, RawOffer
 from .cohort import CATEGORIES, VenueProfile
 from .errors import InvalidConfig
 from .rng import derive_rng
-from .series import DAY_SECONDS, SnapshotReading, VenueSnapshots, format_timestamp, parse_timestamp
+from .series import DAY_SECONDS, VenueSnapshots, format_timestamp, parse_timestamp
 
 WEEK_DAYS = 7.0
 
 # corpus-level category mix, aligned with CATEGORIES order
 CATEGORY_WEIGHTS = np.array([0.10, 0.25, 0.20, 0.07, 0.05, 0.06, 0.08, 0.04, 0.15])
 KIND_WEIGHTS = np.array([0.10, 0.12, 0.46, 0.06, 0.08, 0.10, 0.08])
+_POLL_FIELDS = ("ts", "checkins", "users", "specials", "tips", "likes")  # a SnapshotReading after venue_id
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,49 @@ class PlantedEffect:
     lam_base: float
 
 
+@dataclass(frozen=True, slots=True)
+class SnapshotReading:
+    """One poll of a venue's cumulative counters as a row of ``SynthVenue.readings``."""
+
+    venue_id: str
+    ts: float  # seconds since epoch, UTC
+    checkins: int
+    users: int
+    specials: int
+    tips: int
+    likes: int
+
+
 @dataclass
 class SynthVenue:
     profile: VenueProfile
-    readings: list[SnapshotReading]
+    snapshots: VenueSnapshots
+    specials: np.ndarray  # offers active at each poll
     daily: np.ndarray  # true daily counts, before snapshot quantization
     planted: Optional[PlantedEffect] = None
     offers: list[RawOffer] = field(default_factory=list)
+
+    def _polls(self) -> Iterator[tuple]:
+        """The ``_POLL_FIELDS`` values of each poll, as Python numbers."""
+        s = self.snapshots
+        counters = (s.checkins, s.users, self.specials, s.tips, s.likes)
+        return zip(s.ts.tolist(), *(c.astype(np.int64).tolist() for c in counters))
+
+    @property
+    def readings(self) -> list[SnapshotReading]:
+        """The polls as rows, built on demand; rows assigned back (in time order) become the columns.
+
+        A compatibility view for ``perfbench``, its only caller, which edits
+        polls row by row.
+        """
+        return [SnapshotReading(self.profile.venue_id, *poll) for poll in self._polls()]
+
+    @readings.setter
+    def readings(self, rows: Sequence[SnapshotReading]) -> None:
+        ts, checkins, users, specials, tips, likes = (
+            np.array([getattr(r, name) for r in rows], dtype=float) for name in _POLL_FIELDS)
+        self.snapshots = VenueSnapshots(self.profile.venue_id, ts, checkins, users, tips, likes)
+        self.specials = specials.astype(np.int64)
 
 
 @dataclass
@@ -111,10 +148,7 @@ class SynthCorpus:
 
     @property
     def snapshots(self) -> dict[str, VenueSnapshots]:
-        return {
-            v.profile.venue_id: VenueSnapshots.from_readings(v.profile.venue_id, v.readings)
-            for v in self.venues
-        }
+        return {v.profile.venue_id: v.snapshots for v in self.venues}
 
     @property
     def offers(self) -> list[RawOffer]:
@@ -125,19 +159,11 @@ class SynthCorpus:
         return [v.profile for v in self.venues]
 
     def snapshot_lines(self) -> list[str]:
-        lines = []
-        for venue in self.venues:
-            for r in venue.readings:
-                lines.append(json.dumps({
-                    "venue_id": r.venue_id,
-                    "ts": format_timestamp(r.ts),
-                    "checkins": r.checkins,
-                    "users": r.users,
-                    "specials": r.specials,
-                    "tips": r.tips,
-                    "likes": r.likes,
-                }, sort_keys=True))
-        return lines
+        return [
+            json.dumps({"venue_id": venue.profile.venue_id, **dict(zip(_POLL_FIELDS, poll)),
+                        "ts": format_timestamp(poll[0])}, sort_keys=True)
+            for venue in self.venues for poll in venue._polls()
+        ]
 
     def offer_lines(self) -> list[str]:
         lines = []
@@ -164,17 +190,7 @@ class SynthCorpus:
         ]
 
     def ground_truth_lines(self) -> list[str]:
-        return [
-            json.dumps({
-                "venue_id": g.venue_id,
-                "start_day": g.start_day,
-                "end_day": g.end_day,
-                "delta": g.delta,
-                "d_exp": g.d_exp,
-                "lam_base": g.lam_base,
-            }, sort_keys=True)
-            for g in self.ground_truth
-        ]
+        return [json.dumps(asdict(g), sort_keys=True) for g in self.ground_truth]
 
 
 def day_intensity(
@@ -324,10 +340,6 @@ def _emit_offers(
     return offers
 
 
-def _active_offer_count(offers: Sequence[RawOffer], ts: float) -> int:
-    return sum(1 for o in offers if o.start_ts <= ts < o.end_ts + DAY_SECONDS)
-
-
 def generate_corpus_data(cfg: SynthConfig) -> SynthCorpus:
     """Structured corpus: venues with snapshots, offers, and ground truth."""
     cfg.validate()
@@ -400,29 +412,23 @@ def generate_corpus_data(cfg: SynthConfig) -> SynthCorpus:
 
         # piecewise-linear accrual: day d's count arrives uniformly over [d, d+1)
         observed = np.interp(poll_ts, origin_ts + DAY_SECONDS * np.arange(cfg.days + 1), cumulative)
-        checkins = np.floor(observed).astype(np.int64)
-        users = np.where(checkins > 0, np.maximum(1, (checkins / loyalty).astype(np.int64)), 0)
-        tips = (checkins * tip_rate).astype(np.int64)
-        likes = (checkins * like_rate).astype(np.int64)
+        checkins = np.floor(observed)  # whole counts, kept as float64 like parsed snapshots
+        users = np.where(checkins > 0, np.maximum(1, np.floor(checkins / loyalty)), 0)
+        tips = np.floor(checkins * tip_rate)
+        likes = np.floor(checkins * like_rate)
 
-        readings = [
-            SnapshotReading(
-                venue_id=venue_id,
-                ts=float(poll_ts[g]),
-                checkins=int(checkins[g]),
-                users=int(users[g]),
-                specials=_active_offer_count(offers, float(poll_ts[g])),
-                tips=int(tips[g]),
-                likes=int(likes[g]),
-            )
-            for g in range(cfg.days + 1)
-        ]
+        # an offer is active at a poll from its first day's start until its last day's end
+        starts = np.sort([o.start_ts for o in offers])
+        ends = np.sort([o.end_ts + DAY_SECONDS for o in offers])
+        specials = np.searchsorted(starts, poll_ts, "right") - np.searchsorted(ends, poll_ts, "right")
         profile = VenueProfile(
             venue_id=venue_id, category=category, lat=lat, lon=lon,
             has_promotion=role == "promo",
         )
         venues.append(SynthVenue(
-            profile=profile, readings=readings, daily=daily, planted=planted, offers=offers,
+            profile=profile,
+            snapshots=VenueSnapshots(venue_id, poll_ts, checkins, users, tips, likes),
+            specials=specials, daily=daily, planted=planted, offers=offers,
         ))
     return SynthCorpus(venues=venues, ground_truth=ground_truth)
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -233,6 +235,70 @@ class TestPipelineCommands:
             "--out", tmp_path / "x",
         ])
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def stage_dir(corpus_dir, tmp_path_factory):
+    """effects.csv and groups.csv of a quick test and match run on the module corpus."""
+    out = tmp_path_factory.mktemp("stages")
+    common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl"]
+    assert run(["test", *common, "--bootstraps", 99, "--horizon", "short", "--out", out]) == 0
+    assert run([
+        "match", *common, "--venues", corpus_dir / "venues.jsonl",
+        "--n-groups", 3, "--grid-deg", 5, "--seed", 4, "--out", out,
+    ]) == 0
+    return out
+
+
+def without_column(src, dst, name):
+    """Copy the CSV at ``src`` to ``dst`` with column ``name`` left out."""
+    rows = list(csv.reader(io.StringIO(src.read_text())))
+    keep = [i for i, column in enumerate(rows[0]) if column != name]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([[row[i] for i in keep] for row in rows])
+    dst.write_text(buf.getvalue())
+    return dst
+
+
+class TestMalformedArtifacts:
+    """A bad artifact CSV ends its command with exit 1 and one error line, not a traceback."""
+
+    def assert_rejected(self, capsys, code, path, line_no):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line {line_no}: ")
+        assert "Traceback" not in err
+
+    def test_features_row_without_category(self, tmp_path, capsys):
+        text = write_features_csv(crafted_features())
+        header, *rows = text.splitlines()
+        cells = rows[0].split(",")
+        for i, column in enumerate(header.split(",")):
+            if column.startswith("cat_"):
+                cells[i] = "0.0"
+        features = tmp_path / "features.csv"
+        features.write_text("\n".join([header, ",".join(cells), *rows[1:]]) + "\n")
+        out = tmp_path / "models"
+        code = run(["train", "--features", features, "--folds", 5, "--out", out])
+        self.assert_rejected(capsys, code, features, 2)
+        assert not out.exists()
+
+    def test_effects_without_diff_column(self, stage_dir, tmp_path, capsys):
+        effects = without_column(stage_dir / "effects.csv", tmp_path / "effects.csv", "diff")
+        out = tmp_path / "report"
+        code = run(["report", "--effects", effects, "--out", out])
+        self.assert_rejected(capsys, code, effects, 1)
+        assert not out.exists()
+
+    def test_groups_without_pseudo_end_column(self, corpus_dir, stage_dir, tmp_path, capsys):
+        groups = without_column(stage_dir / "groups.csv", tmp_path / "groups.csv", "pseudo_end")
+        out = tmp_path / "ref"
+        code = run([
+            "test", "--snapshots", corpus_dir / "snapshots.jsonl",
+            "--offers", corpus_dir / "offers.jsonl", "--groups", groups, "--out", out,
+        ])
+        self.assert_rejected(capsys, code, groups, 1)
+        assert not out.exists()
 
 
 def crafted_features(n=60):

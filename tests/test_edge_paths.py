@@ -93,10 +93,11 @@ class TestCsvSnapshotCorpus:
 
         csv_lines = [header]
         for venue in corpus.venues:
-            for r in venue.readings:
+            s = venue.snapshots
+            for ts, c, u, sp, t, l in zip(s.ts, s.checkins, s.users, venue.specials, s.tips, s.likes):
                 csv_lines.append(
-                    f"{r.venue_id},{format_timestamp(r.ts)},{r.checkins},"
-                    f"{r.users},{r.specials},{r.tips},{r.likes}"
+                    f"{venue.profile.venue_id},{format_timestamp(ts)},{int(c)},"
+                    f"{int(u)},{sp},{int(t)},{int(l)}"
                 )
         csv_loaded = load_corpus(csv_lines, corpus.offer_lines())
         assert csv_loaded.periods == jsonl_loaded.periods

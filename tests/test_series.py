@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
@@ -12,7 +13,6 @@ from campaignfx.errors import IneligibleCampaign, InsufficientData, SpanTooLong
 from campaignfx.series import (
     MAX_GRID_DAYS,
     DailyCumulative,
-    SnapshotReading,
     counter_at,
     csv_text,
     daily_checkins,
@@ -242,6 +242,7 @@ class TestCountersAtDay:
 
 _ORACLE_FIELDS = ("venue_id", "ts", "checkins", "users", "specials", "tips", "likes")
 _ORACLE_COUNTERS = ("checkins", "users", "specials", "tips", "likes")
+_OracleRow = namedtuple("_OracleRow", _ORACLE_FIELDS)
 
 
 class _OracleMalformed(Exception):
@@ -266,7 +267,7 @@ def _oracle_reading(obj, line_no):
         raise _OracleMalformed(line_no, str(exc)) from exc
     if not isinstance(venue_id, str) or not venue_id:
         raise _OracleMalformed(line_no, "venue_id must be a non-empty string")
-    return SnapshotReading(venue_id=venue_id, ts=ts, **counters)
+    return _OracleRow(venue_id=venue_id, ts=ts, **counters)
 
 
 def _oracle_records(lines, errors):
@@ -286,15 +287,16 @@ def _oracle_records(lines, errors):
             yield line_no, obj
     else:
         reader = csv.DictReader(io.StringIO("".join(line if line.endswith("\n") else line + "\n" for line in lines)))
-        if reader.fieldnames is None or set(_ORACLE_FIELDS) - set(reader.fieldnames):
-            errors.append((1, "CSV header missing required columns"))
+        missing = [name for name in _ORACLE_FIELDS if name not in (reader.fieldnames or ())]
+        if missing:
+            errors.append((1, f"CSV header missing required columns: {', '.join(missing)}"))
             return
         for line_no, row in enumerate(reader, start=2):
             yield line_no, {k: v for k, v in row.items() if k is not None}
 
 
 def oracle_parse(lines):
-    """(errors, duplicate count, {venue_id: [SnapshotReading]}) of the row parser."""
+    """(errors, duplicate count, {venue_id: [_OracleRow]}) of the row parser."""
     errors, per_venue, duplicates = [], {}, 0
     for line_no, obj in _oracle_records(lines, errors):
         try:

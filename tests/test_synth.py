@@ -1,11 +1,15 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from campaignfx.campaign import build_promotion_periods, parse_offers
+from campaignfx.campaign import align_offer, build_promotion_periods, parse_offers
 from campaignfx.cohort import parse_venues
 from campaignfx.errors import InvalidConfig
 from campaignfx.rng import derive_rng
-from campaignfx.series import daily_checkins, interpolate_daily, parse_snapshots
+from campaignfx.series import DAY_SECONDS, daily_checkins, interpolate_daily, parse_snapshots
 from campaignfx.synth import (
     SynthConfig,
     delta_for_target_d,
@@ -23,6 +27,15 @@ def small_config(**kw):
     )
     defaults.update(kw)
     return SynthConfig(**defaults)
+
+
+# Promoted and zero venues, split and duplicated offers, polls on and off the day grid.
+PINNED_CONFIGS = {
+    "jitter0": small_config(effect_multiplier=0.5, poll_jitter_hours=0.0),
+    "jitter2": small_config(effect_multiplier=0.5, poll_jitter_hours=2.0, seed=8,
+                            duration_min=12, duration_max=30),
+}
+LINE_OUTPUTS = ("snapshot_lines", "offer_lines", "venue_lines", "ground_truth_lines")
 
 
 class TestConfigValidation:
@@ -83,10 +96,8 @@ class TestGenerateCorpus:
     def test_cumulative_nondecreasing(self):
         corpus = generate_corpus_data(small_config())
         for venue in corpus.venues:
-            counts = [r.checkins for r in venue.readings]
-            assert all(b >= a for a, b in zip(counts, counts[1:]))
-            users = [r.users for r in venue.readings]
-            assert all(b >= a for a, b in zip(users, users[1:]))
+            assert np.all(np.diff(venue.snapshots.checkins) >= 0)
+            assert np.all(np.diff(venue.snapshots.users) >= 0)
 
     def test_no_anomalies_on_synthetic_data(self):
         corpus = generate_corpus_data(small_config())
@@ -100,13 +111,8 @@ class TestGenerateCorpus:
         for venue in corpus.venues:
             if venue.planted is None:
                 continue
-            aligned = []
-            origin = venue.readings[0].ts
-            from campaignfx.campaign import align_offer
-
-            for raw in venue.offers:
-                aligned.append(align_offer(raw, origin))
-            periods = build_promotion_periods(aligned)
+            origin = float(venue.snapshots.ts[0])
+            periods = build_promotion_periods([align_offer(raw, origin) for raw in venue.offers])
             assert len(periods) == 1
             assert (periods[0].start_day, periods[0].end_day) == (
                 venue.planted.start_day, venue.planted.end_day,
@@ -131,11 +137,70 @@ class TestGenerateCorpus:
         assert venues.errors == []
         assert len(venues.profiles) == 30
 
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_specials_count_active_offers(self, name):
+        corpus = generate_corpus_data(PINNED_CONFIGS[name])
+        spans = [{(o.start_ts, o.end_ts) for o in v.offers} for v in corpus.venues]
+        assert any(len(s) > 1 for s in spans)  # a split offer
+        assert any(len(s) < len(v.offers) for s, v in zip(spans, corpus.venues))  # a duplicate
+        for venue in corpus.venues:
+            # reference: a poll counts each offer active from its start to one day past its end
+            expected = [sum(1 for o in venue.offers if o.start_ts <= ts < o.end_ts + DAY_SECONDS)
+                        for ts in venue.snapshots.ts.tolist()]
+            assert venue.specials.tolist() == expected
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_readings_round_trip_is_identity(self, name):
+        corpus = generate_corpus_data(PINNED_CONFIGS[name])
+        lines = corpus.snapshot_lines()
+        before = {vid: _column_bytes(s) for vid, s in corpus.snapshots.items()}
+        for venue in corpus.venues:
+            venue.readings = venue.readings
+        assert corpus.snapshot_lines() == lines
+        assert {vid: _column_bytes(s) for vid, s in corpus.snapshots.items()} == before
+
+    def test_edited_reading_reaches_snapshot_lines(self):
+        corpus = generate_corpus_data(small_config())
+        venue = corpus.venues[0]
+        readings = venue.readings
+        readings[3] = dataclasses.replace(readings[3], checkins=10**6, specials=5)
+        venue.readings = readings
+        line = json.loads(corpus.snapshot_lines()[3])
+        assert (line["checkins"], line["specials"]) == (10**6, 5)
+        assert venue.snapshots.checkins[3] == 10**6
+
+    @pytest.mark.parametrize("name, digests", [
+        ("jitter0", {
+            "snapshot_lines": "e49b385ce0794f3983213fe8470bddb766c87f43eceb6b939ec7cabf818429ea",
+            "offer_lines": "cee2e1e1d865f7ecd5f1f446d26d8462d386afc71b31dfd0bfb6f493f61bdd85",
+            "venue_lines": "90b6ae5c2460527dabd81eec4c134f9eaf14110e35f73895a38d9d14afcccc31",
+            "ground_truth_lines": "da351bbff11d06905076e930fb81fef5d8ff9abf7d4771d7bc848c7c73d274d9",
+        }),
+        ("jitter2", {
+            "snapshot_lines": "d837938e01ce7d7b68e9d3da5df749e1fceaaa167da946a8b0f728f1347e8866",
+            "offer_lines": "8c39c8ae1139afae78a79d280023d2b13e7163236717c1e7c1ede36c1fea72a2",
+            "venue_lines": "f879e4bc986ba0955d6d127f2820768ca1f85ab0828e429fd9bfe3e9c38104bd",
+            "ground_truth_lines": "0ff92a3ea1db66ba7d84578f55f9f59fa4644f3bdb0585e528436a941b84e5a7",
+        }),
+    ])
+    def test_lines_pinned(self, name, digests):
+        """The acceptance criteria stand on this corpus: any change to its text shows here."""
+        corpus = generate_corpus_data(PINNED_CONFIGS[name])
+        assert {m: _sha256(getattr(corpus, m)()) for m in LINE_OUTPUTS} == digests
+
     def test_planted_window_fits_segment_rules(self):
         corpus = generate_corpus_data(small_config())
         for g in corpus.ground_truth:
             assert g.start_day >= 28
             assert g.end_day - g.start_day + 1 >= 7
+
+
+def _column_bytes(snapshots):
+    return [getattr(snapshots, name).tobytes() for name in ("ts", "checkins", "users", "tips", "likes")]
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestExpectedEffect:
