@@ -9,6 +9,7 @@ from typing import Iterable, Mapping, Sequence
 from .cohort import ecdf_points
 from .errors import IneligibleCampaign
 from .series import (
+    AFTER_MAX_DAYS,
     BEFORE_DAYS,
     DAY_SECONDS,
     DailySeries,
@@ -183,7 +184,7 @@ def eligible_campaigns(
     series_index: Mapping[str, DailySeries],
     min_duration: int = MIN_CAMPAIGN_DAYS,
     min_history: int = BEFORE_DAYS,
-    w_max: int = 28,
+    w_max: int = AFTER_MAX_DAYS,
 ) -> EligibilityReport:
     """Keep periods with enough duration and prior history, attach segments.
 

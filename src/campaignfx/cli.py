@@ -97,7 +97,11 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _read_lines(path: Path) -> list[str]:
-    return path.read_text().splitlines()
+    # text mode turns \r\n and \r into \n and breaks lines there only;
+    # splitlines() would also break at U+0085, U+2028 and U+2029, which JSON
+    # allows raw inside strings
+    with path.open() as f:
+        return [line.removesuffix("\n") for line in f]
 
 
 def _read_table(path: Path, reader: Callable[[str], list]) -> list:

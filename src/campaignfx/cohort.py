@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .effect import EffectLabel, EffectResult
-from .errors import EmptyDenominator
-from .series import DailySeries, ParseError, parse_records
+from .errors import EmptyDenominator, IneligibleCampaign
+from .series import BEFORE_DAYS, MIN_CAMPAIGN_DAYS, DailySeries, ParseError, parse_records, segment
 
 MATCH_CELL_DEG = 0.1
 N_REFERENCE_GROUPS = 20
@@ -118,7 +118,8 @@ def match_reference(
     promo: Sequence[VenueProfile],
     pool: Sequence[VenueProfile],
     n_groups: int = N_REFERENCE_GROUPS,
-    rng: np.random.Generator = None,
+    *,
+    rng: np.random.Generator,
     cell_deg: float = MATCH_CELL_DEG,
 ) -> MatchReport:
     """Sample non-overlapping reference groups matched on category and cell.
@@ -128,8 +129,6 @@ def match_reference(
     all groups; when the cell is exhausted the search widens to the 3x3 cell
     neighborhood. Slots that still cannot be filled are recorded.
     """
-    if rng is None:
-        raise ValueError("match_reference requires a seeded rng")
     promoted = [p for p in pool if p.has_promotion]
     if promoted:
         raise ValueError(f"pool contains promoted venues, e.g. {promoted[0].venue_id}")
@@ -184,15 +183,15 @@ def assign_pseudo_periods(
     empirical_periods: Sequence[tuple[int, int]],
     series_index: Mapping[str, DailySeries],
     rng: np.random.Generator,
-    max_attempts: int = PSEUDO_PERIOD_MAX_ATTEMPTS,
-    min_history: int = 28,
-    min_duration: int = 7,
+    min_history: int = BEFORE_DAYS,
+    min_duration: int = MIN_CAMPAIGN_DAYS,
 ) -> tuple[ReferenceGroup, list[UnfittablePeriod]]:
     """Draw (start, duration) pairs from the real campaigns for each member.
 
-    Draws are rejected and retried (up to ``max_attempts``) until the window
-    fits the member's series under the usual segmentation rules; members with
-    no fitting window are dropped and recorded.
+    A draw is kept when the whole window lies within the member's series
+    (pseudo-windows are never truncated) and ``segment`` accepts it; others
+    are retried, up to ``PSEUDO_PERIOD_MAX_ATTEMPTS`` draws. Members with no
+    fitting window are dropped and recorded.
     """
     if not empirical_periods:
         raise ValueError("empirical_periods must be non-empty")
@@ -202,14 +201,14 @@ def assign_pseudo_periods(
         s = series_index.get(member.venue_id)
         assigned = None
         if s is not None:
-            for _ in range(max_attempts):
+            for _ in range(PSEUDO_PERIOD_MAX_ATTEMPTS):
                 start, duration = empirical_periods[int(rng.integers(len(empirical_periods)))]
                 end = start + duration - 1
-                if duration < min_duration:
-                    continue
-                if start - s.origin_day < min_history:
-                    continue
                 if end > s.last_day:
+                    continue
+                try:
+                    segment(s, start, end, k=min_history, min_duration=min_duration)
+                except IneligibleCampaign:
                     continue
                 assigned = (start, end)
                 break

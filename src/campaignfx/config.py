@@ -1,5 +1,6 @@
 """Run configuration: analysis knobs with their standard defaults.
 
+Each default is the constant of the module that owns the analysis step.
 Values come from, in increasing priority: built-in defaults, the
 ``CAMPAIGNFX_SEED`` environment variable (seed only), a ``key = value``
 config file, and command-line flags.
@@ -11,25 +12,30 @@ import os
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
+from .cohort import MATCH_CELL_DEG, N_REFERENCE_GROUPS
+from .effect import DEFAULT_ALPHA, DEFAULT_BLOCK_LEN, DEFAULT_BOOTSTRAPS, DEFAULT_POWER_MIN
 from .errors import InvalidConfig
+from .features import NEIGHBORHOOD_RADIUS_MILES
+from .learn import CV_FOLDS
+from .series import AFTER_MAX_DAYS, AFTER_MIN_DAYS, BEFORE_DAYS, MIN_CAMPAIGN_DAYS
 
 
 @dataclass
 class RunConfig:
-    alpha: float = 0.05
-    bootstraps: int = 4999
-    block_len: int = 2
-    power_min: float = 0.8
-    k: int = 28              # baseline window length (days)
-    w_max: int = 28          # post-campaign window cap (days)
-    min_duration: int = 7    # minimum campaign duration (days)
-    radius_miles: float = 0.5
-    grid_deg: float = 0.1    # matching cell size (degrees)
-    n_groups: int = 20
-    folds: int = 10
+    alpha: float = DEFAULT_ALPHA
+    bootstraps: int = DEFAULT_BOOTSTRAPS
+    block_len: int = DEFAULT_BLOCK_LEN
+    power_min: float = DEFAULT_POWER_MIN
+    k: int = BEFORE_DAYS                   # baseline window length (days)
+    w_max: int = AFTER_MAX_DAYS            # post-campaign window cap (days)
+    min_duration: int = MIN_CAMPAIGN_DAYS  # minimum campaign duration (days)
+    radius_miles: float = NEIGHBORHOOD_RADIUS_MILES
+    grid_deg: float = MATCH_CELL_DEG       # matching cell size (degrees)
+    n_groups: int = N_REFERENCE_GROUPS
+    folds: int = CV_FOLDS
     seed: int = 0
     jobs: int = 1
-    horizon: str = "both"    # short | long | both
+    horizon: str = "both"                  # short | long | both
 
     def validate(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -42,8 +48,8 @@ class RunConfig:
             raise InvalidConfig("power_min must be in [0, 1]")
         if self.k < 2:
             raise InvalidConfig("k must be >= 2")
-        if self.w_max < 7:
-            raise InvalidConfig("w_max must be >= 7")
+        if self.w_max < AFTER_MIN_DAYS:  # a shorter cap could never admit an after window
+            raise InvalidConfig(f"w_max must be >= {AFTER_MIN_DAYS}")
         if self.min_duration < 2:
             raise InvalidConfig("min_duration must be >= 2")
         if self.radius_miles <= 0:

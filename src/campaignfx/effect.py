@@ -6,7 +6,7 @@ hypothesis true, then resampled with a moving-block bootstrap so short-range
 day-to-day dependence survives resampling. The empirical p-value counts
 resampled mean differences at least as extreme as the observed one, with
 add-one smoothing so it is never zero. Power and the confidence interval come
-from the same null draws shifted by the observed difference: under the same
+only from those null draws, shifted by the observed difference: under the same
 block starts a resample mean of the raw sample is the centered one plus the
 sample mean (Künsch, 1989), so the shifted draws are the uncentered
 (alternative-hypothesis) distribution. Power is the share of them outside the
@@ -209,24 +209,13 @@ def bootstrap_power(
     alpha: float = DEFAULT_ALPHA,
     block_len: int = DEFAULT_BLOCK_LEN,
     rng: np.random.Generator,
-    crit: Optional[tuple[float, float]] = None,
 ) -> float:
     """Estimated power: mass of the uncentered difference distribution
-    outside the null critical interval.
-
-    When ``crit`` is omitted, the null interval and the uncentered
-    differences both come from one pass of :func:`bootstrap_test`'s draws.
-    An explicit ``crit`` has no null draws to reuse, so uncentered resamples
-    are drawn instead.
+    outside the null critical interval, both from one pass of
+    :func:`bootstrap_test`'s draws.
     """
     a, b = _samples(before, other, "bootstrap_power")
-    if crit is None:
-        return _bootstrap(a, b, bootstraps, alpha, block_len, rng)[1]
-    deltas = _resample_means(b, block_len, bootstraps, rng) - _resample_means(
-        a, block_len, bootstraps, rng
-    )
-    outside = (deltas < crit[0]) | (deltas > crit[1])
-    return float(np.count_nonzero(outside) / bootstraps)
+    return _bootstrap(a, b, bootstraps, alpha, block_len, rng)[1]
 
 
 def classify_effect(

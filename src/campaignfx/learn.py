@@ -19,10 +19,11 @@ import numpy as np
 from .effect import EffectLabel
 from .errors import DegenerateSample, EmptyEvalSet, TooFewRows
 from .features import FeatureVector, design_matrix
-from .models import ForestConfig, LogisticConfig, train_forest, train_logistic
+from .models import train_forest, train_logistic
 from .rng import derive_rng
 
 EXACT_ENUMERATION_LIMIT = 400  # max n_pos * n_neg for the exact null distribution
+CV_FOLDS = 10
 
 POSITIVE_LABEL = EffectLabel.SIGNIFICANT_INCREASE
 NEGATIVE_LABELS = (EffectLabel.SIGNIFICANT_DECREASE, EffectLabel.POWERED_NULL)
@@ -176,19 +177,11 @@ class FittedModel:
         return self.inner.predict_proba(X)
 
 
-def _fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    kind: str,
-    feature_sets: Sequence[str],
-    seed: int,
-    logistic_config: LogisticConfig,
-    forest_config: ForestConfig,
-) -> object:
+def _fit(X: np.ndarray, y: np.ndarray, kind: str, feature_sets: Sequence[str], seed: int) -> object:
     if kind == "logistic":
-        return train_logistic(X, y, logistic_config)
+        return train_logistic(X, y)
     if kind == "forest":
-        return train_forest(X, y, derive_rng(seed, "forest", *feature_sets), forest_config)
+        return train_forest(X, y, derive_rng(seed, "forest", *feature_sets))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -198,11 +191,9 @@ def train_model(
     kind: str,
     feature_sets: Sequence[str],
     seed: int,
-    logistic_config: LogisticConfig = LogisticConfig(),
-    forest_config: ForestConfig = ForestConfig(),
 ) -> FittedModel:
     X, _ = design_matrix(rows, feature_sets)
-    inner = _fit(X, y, kind, feature_sets, seed, logistic_config, forest_config)
+    inner = _fit(X, y, kind, feature_sets, seed)
     return FittedModel(kind=kind, feature_sets=tuple(feature_sets), inner=inner)
 
 
@@ -227,10 +218,8 @@ def cross_validate(
     ds: Dataset,
     kind: str,
     feature_sets: Sequence[str],
-    k: int = 10,
+    k: int = CV_FOLDS,
     seed: int = 0,
-    logistic_config: LogisticConfig = LogisticConfig(),
-    forest_config: ForestConfig = ForestConfig(),
 ) -> CvResult:
     """Stratified k-fold evaluation with metrics pooled over folds.
 
@@ -252,7 +241,6 @@ def cross_validate(
         model = _fit(
             X[train_idx], ds.y[train_idx], kind, feature_sets,
             derive_rng(seed, "fold-seed", fold).integers(2**32),
-            logistic_config, forest_config,
         )
         scores[test_idx] = model.predict_proba(X[test_idx])
     return CvResult(metrics=_metrics_from_scores(ds.y, scores), scores=scores, fold_of=fold_of)

@@ -28,11 +28,9 @@ import numpy as np
 from .errors import SingularFit
 
 
-@dataclass(frozen=True)
-class LogisticConfig:
-    l2: float = 1e-6
-    tol: float = 1e-8
-    max_iter: int = 1000
+LOGISTIC_L2 = 1e-6        # L2 penalty on the scaled weights
+LOGISTIC_TOL = 1e-8       # converged once every gradient component is below this
+LOGISTIC_MAX_ITER = 1000  # Newton steps before giving up with converged=False
 
 
 @dataclass(frozen=True)
@@ -105,14 +103,12 @@ def _penalized_nll(Xs, y, w, b, l2):
     return nll + 0.5 * l2 * float(w @ w)
 
 
-def train_logistic(
-    X: np.ndarray, y: np.ndarray, config: LogisticConfig = LogisticConfig()
-) -> LogisticModel:
+def train_logistic(X: np.ndarray, y: np.ndarray) -> LogisticModel:
     """Newton fit of the L2-penalized logistic likelihood.
 
     Constant feature columns are dropped with a warning before fitting;
     training fails only when no informative column remains. Convergence is
-    declared when every gradient component is below ``config.tol``.
+    declared when every gradient component is below ``LOGISTIC_TOL``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -131,21 +127,21 @@ def train_logistic(
     w = np.zeros(p)
     b = 0.0
     converged = False
-    loss = _penalized_nll(Xs, y, w, b, config.l2)
-    for _ in range(config.max_iter):
+    loss = _penalized_nll(Xs, y, w, b, LOGISTIC_L2)
+    for _ in range(LOGISTIC_MAX_ITER):
         prob = _sigmoid(Xs @ w + b)
-        grad_w = Xs.T @ (prob - y) + config.l2 * w
+        grad_w = Xs.T @ (prob - y) + LOGISTIC_L2 * w
         grad_b = float(np.sum(prob - y))
-        if max(np.max(np.abs(grad_w)), abs(grad_b)) < config.tol:
+        if max(np.max(np.abs(grad_w)), abs(grad_b)) < LOGISTIC_TOL:
             converged = True
             break
         weight = prob * (1.0 - prob)
         Xw = Xs * weight[:, None]
         H = np.empty((p + 1, p + 1))
-        H[:p, :p] = Xs.T @ Xw + config.l2 * np.eye(p)
+        H[:p, :p] = Xs.T @ Xw + LOGISTIC_L2 * np.eye(p)
         H[:p, p] = Xw.sum(axis=0)
         H[p, :p] = H[:p, p]
-        H[p, p] = float(weight.sum()) + config.l2
+        H[p, p] = float(weight.sum()) + LOGISTIC_L2
         grad = np.concatenate([grad_w, [grad_b]])
         try:
             step = np.linalg.solve(H, grad)
@@ -155,7 +151,7 @@ def train_logistic(
         for _ in range(50):
             w_new = w - scale * step[:p]
             b_new = b - scale * step[p]
-            loss_new = _penalized_nll(Xs, y, w_new, b_new, config.l2)
+            loss_new = _penalized_nll(Xs, y, w_new, b_new, LOGISTIC_L2)
             if loss_new <= loss + 1e-12:
                 break
             scale *= 0.5

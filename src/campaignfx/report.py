@@ -23,7 +23,6 @@ from .learn import (
     NEGATIVE_LABELS,
     POSITIVE_LABEL,
     cross_validate,
-    feature_auc,
     mann_whitney,
     out_of_sample_eval,
     rms_gap,
@@ -116,25 +115,27 @@ def effect_tables(
 
 
 def feature_auc_table(rows: Sequence[FeatureVector]) -> list[dict]:
-    """Per-feature AUC and Mann-Whitney p for both horizons."""
+    """Per-feature AUC and Mann-Whitney p for both horizons, one test per cell.
+
+    The AUC is ``U / (n_pos * n_neg)``, the expression ``feature_auc`` returns.
+    """
+    classes = {}  # horizon -> (positive, negative) feature values, one dict per row
+    for horizon in Horizon:
+        in_horizon = [r for r in rows if r.horizon is horizon]
+        classes[horizon] = (
+            [feature_values(r) for r in in_horizon if r.label is POSITIVE_LABEL],
+            [feature_values(r) for r in in_horizon if r.label in NEGATIVE_LABELS],
+        )
     out = []
-    by_horizon: dict[Horizon, list[FeatureVector]] = {
-        Horizon.SHORT_TERM: [r for r in rows if r.horizon is Horizon.SHORT_TERM],
-        Horizon.LONG_TERM: [r for r in rows if r.horizon is Horizon.LONG_TERM],
-    }
     for feature in TABLE_FEATURES:
         record: dict = {"feature": feature}
         for horizon, suffix in ((Horizon.SHORT_TERM, "short"), (Horizon.LONG_TERM, "long")):
-            pos = []
-            neg = []
-            for r in by_horizon[horizon]:
-                if r.label is POSITIVE_LABEL:
-                    pos.append(feature_values(r)[feature])
-                elif r.label in NEGATIVE_LABELS:
-                    neg.append(feature_values(r)[feature])
+            positives, negatives = classes[horizon]
+            pos = [values[feature] for values in positives]
+            neg = [values[feature] for values in negatives]
             if pos and neg:
                 mw = mann_whitney(pos, neg)
-                record[f"auc_{suffix}"] = feature_auc(pos, neg)
+                record[f"auc_{suffix}"] = mw.u / (len(pos) * len(neg))
                 record[f"p_{suffix}"] = mw.p_value
             else:
                 record[f"auc_{suffix}"] = None

@@ -237,8 +237,8 @@ def _csv_rows(text: str, fields: Sequence[str], errors: list[ParseError]):
     if missing:
         errors.append(ParseError(1, f"CSV header missing required columns: {', '.join(missing)}"))
         return
-    for line_no, row in enumerate(reader, start=2):
-        yield line_no, {k: v for k, v in row.items() if k is not None}
+    for row in reader:  # line_num: the line the record ends on, blank lines and quoted newlines counted
+        yield reader.line_num, {k: v for k, v in row.items() if k is not None}
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -1,14 +1,19 @@
 import csv
+import inspect
 import io
 import json
 
 import pytest
 
+from campaignfx.campaign import eligible_campaigns
 from campaignfx.cli import main
-from campaignfx.config import build_run_config
-from campaignfx.effect import EffectLabel, Horizon
+from campaignfx.cohort import assign_pseudo_periods, match_reference
+from campaignfx.config import RunConfig, build_run_config
+from campaignfx.effect import EffectLabel, Horizon, TestConfig, classify_effect
 from campaignfx.errors import InvalidConfig
-from campaignfx.features import write_features_csv
+from campaignfx.features import neighborhood, write_features_csv
+from campaignfx.learn import cross_validate
+from campaignfx.series import segment
 
 
 def run(args):
@@ -35,6 +40,30 @@ class TestRunConfig:
         assert (config.radius_miles, config.grid_deg, config.n_groups, config.folds) == (
             0.5, 0.1, 20, 10,
         )
+
+    @pytest.mark.parametrize("name, fed, param", [
+        ("k", segment, "k"),
+        ("w_max", segment, "w_max"),
+        ("min_duration", segment, "min_duration"),
+        ("k", eligible_campaigns, "min_history"),
+        ("w_max", eligible_campaigns, "w_max"),
+        ("min_duration", eligible_campaigns, "min_duration"),
+        ("k", assign_pseudo_periods, "min_history"),
+        ("min_duration", assign_pseudo_periods, "min_duration"),
+        ("alpha", TestConfig, "alpha"),
+        ("bootstraps", TestConfig, "bootstraps"),
+        ("block_len", TestConfig, "block_len"),
+        ("power_min", TestConfig, "power_min"),
+        ("power_min", classify_effect, "power_min"),
+        ("radius_miles", neighborhood, "r_miles"),
+        ("n_groups", match_reference, "n_groups"),
+        ("grid_deg", match_reference, "cell_deg"),
+        ("folds", cross_validate, "k"),
+    ])
+    def test_default_is_the_library_default(self, name, fed, param):
+        library = inspect.signature(fed).parameters[param].default
+        value = getattr(RunConfig(), name)
+        assert (type(value), value) == (type(library), library)
 
     def test_env_seed_lowest_priority(self):
         config = build_run_config(env={"CAMPAIGNFX_SEED": "99"})
@@ -213,6 +242,39 @@ class TestPipelineCommands:
         for name in ("campaigns.csv", "skipped.csv", "offer_stats.json"):
             assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
+    def test_unicode_line_separators_stay_inside_records(self, tmp_path, capsys):
+        venue_id = "v\u2028\u2029\x85x"  # raw in JSON strings, but splitlines() breaks at each
+        snapshots = tmp_path / "snapshots.jsonl"
+        snapshots.write_text("".join(
+            json.dumps({"venue_id": venue_id, "ts": day * 86400, "checkins": 5 * day, "users": 1,
+                        "specials": 0, "tips": 0, "likes": 0}, ensure_ascii=False) + "\n"
+            for day in range(3)
+        ), encoding="utf-8")
+        offers = tmp_path / "offers.jsonl"
+        offers.write_text(json.dumps({"venue_id": venue_id, "special_id": "s0", "type": "Flash",
+                                      "start": 86400, "end": 86400}, ensure_ascii=False) + "\n",
+                          encoding="utf-8")
+        out = tmp_path / "run"
+        assert run(["segment", "--snapshots", snapshots, "--offers", offers, "--out", out]) == 0
+        assert "warning" not in capsys.readouterr().err
+        rows = list(csv.reader(io.StringIO((out / "skipped.csv").read_text(encoding="utf-8"))))
+        assert [row[0] for row in rows[1:]] == [venue_id]
+
+    def test_snapshot_csv_error_names_its_line(self, tmp_path, capsys):
+        snapshots = tmp_path / "snapshots.csv"
+        snapshots.write_text(
+            "venue_id,ts,checkins,users,specials,tips,likes\n"
+            "v1,2012-10-22T00:00:00Z,1,1,0,0,0\n"
+            "\n"
+            "v1,2012-10-23T00:00:00Z,x,1,0,0,0\n"
+            "v1,2012-10-24T00:00:00Z,3,1,0,0,0\n"
+        )
+        offers = tmp_path / "offers.jsonl"
+        offers.write_text("")
+        assert run(["segment", "--snapshots", snapshots, "--offers", offers, "--out", tmp_path / "run"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: 1 malformed records skipped (first: line 4: ")
+
     def test_report_warns_about_malformed_venue_lines(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "run"
         common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl"]
@@ -288,6 +350,18 @@ class TestMalformedArtifacts:
         out = tmp_path / "report"
         code = run(["report", "--effects", effects, "--out", out])
         self.assert_rejected(capsys, code, effects, 1)
+        assert not out.exists()
+
+    def test_effects_error_after_blank_line_names_its_line(self, stage_dir, tmp_path, capsys):
+        header, first, second, *rest = (stage_dir / "effects.csv").read_text().splitlines()
+        diff = header.split(",").index("diff")
+        cells = second.split(",")
+        cells[diff] = "x"
+        effects = tmp_path / "effects.csv"
+        effects.write_text("\n".join([header, first, "", ",".join(cells), *rest]) + "\n")
+        out = tmp_path / "report"
+        code = run(["report", "--effects", effects, "--out", out])
+        self.assert_rejected(capsys, code, effects, 4)
         assert not out.exists()
 
     def test_groups_without_pseudo_end_column(self, corpus_dir, stage_dir, tmp_path, capsys):

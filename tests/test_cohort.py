@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from campaignfx.cohort import (
+    PSEUDO_PERIOD_MAX_ATTEMPTS,
     Category,
     FractionMode,
     ReferenceGroup,
@@ -139,6 +142,33 @@ class TestAssignPseudoPeriods:
         assigned, dropped = assign_pseudo_periods(group, [(30, 7)], {}, derive_rng(0))
         assert assigned.members == []
         assert len(dropped) == 1
+
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 80), st.integers(1, 20)), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(-10, 10), st.integers(2, 90)), min_size=1, max_size=6),
+        st.integers(2, 40), st.integers(2, 10), st.integers(0, 2**32),
+    )
+    def test_same_windows_and_draws_as_the_explicit_checks(
+        self, periods, spans, min_history, min_duration, seed,
+    ):
+        # the rule written out: full duration, enough history, no truncation
+        series = {f"r{i}": make_series(np.ones(n), origin_day=o) for i, (o, n) in enumerate(spans)}
+        group = ReferenceGroup(0, [ReferenceMember(venue_id, "p") for venue_id in series])
+        rng = derive_rng(seed)
+        expected = []
+        for venue_id, s in series.items():
+            for _ in range(PSEUDO_PERIOD_MAX_ATTEMPTS):
+                start, duration = periods[int(rng.integers(len(periods)))]
+                end = start + duration - 1
+                if duration >= min_duration and start - s.origin_day >= min_history and end <= s.last_day:
+                    expected.append((venue_id, start, end))
+                    break
+        assigned, dropped = assign_pseudo_periods(
+            group, periods, series, derive_rng(seed), min_history=min_history, min_duration=min_duration,
+        )
+        assert [(m.venue_id, m.pseudo_start, m.pseudo_end) for m in assigned.members] == expected
+        assert len(assigned.members) + len(dropped) == len(series)
 
 
 class TestFilterZeroActivity:

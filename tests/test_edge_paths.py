@@ -8,40 +8,12 @@ import pytest
 from campaignfx.campaign import parse_offers
 from campaignfx.cohort import Category, VenueProfile, parse_venues
 from campaignfx.config import RunConfig
-from campaignfx.effect import bootstrap_power, bootstrap_test
 from campaignfx.geo import RadiusIndex, haversine_miles
 from campaignfx.pipeline import load_corpus, segment_stage
-from campaignfx.rng import derive_rng
 from campaignfx.series import parse_snapshots, segment
 from campaignfx.synth import SynthConfig, generate_corpus_data
 
 from conftest import make_series
-
-
-class TestBootstrapPowerCrit:
-    def test_explicit_critical_interval_reused(self):
-        r = derive_rng(85)
-        before = r.poisson(4.0, 28).astype(float)
-        during = r.poisson(6.0, 28).astype(float)
-        null = bootstrap_test(before, during, rng=derive_rng(86, "null"))
-        direct = bootstrap_power(
-            before, during, rng=derive_rng(86, "alt"),
-            crit=(null.crit_low, null.crit_high),
-        )
-        # a wide interval should kill most of the power
-        loose = bootstrap_power(before, during, rng=derive_rng(86, "alt"), crit=(-100.0, 100.0))
-        assert 0.0 <= direct <= 1.0
-        assert loose == 0.0
-
-    def test_internal_rebuild_close_to_explicit(self):
-        r = derive_rng(87)
-        before = r.poisson(4.0, 28).astype(float)
-        during = r.poisson(6.0, 28).astype(float)
-        a = bootstrap_power(before, during, rng=derive_rng(88, "a"))
-        null = bootstrap_test(before, during, rng=derive_rng(88, "n"))
-        b = bootstrap_power(before, during, rng=derive_rng(88, "b"),
-                            crit=(null.crit_low, null.crit_high))
-        assert a == pytest.approx(b, abs=0.05)
 
 
 class TestPolarRadiusQuery:

@@ -9,6 +9,7 @@ from campaignfx.effect import (
     EffectLabel,
     Horizon,
     TestConfig,
+    _resample_indices,
     _resample_means,
     block_resample,
     bootstrap_power,
@@ -310,3 +311,11 @@ class TestBootstrapKernel:
         raw = _resample_means(x, block_len, 99, derive_rng(seed))
         shifted = _resample_means(x - x.mean(), block_len, 99, derive_rng(seed)) + x.mean()
         assert np.max(np.abs(raw - shifted)) <= 1e-12
+
+    @given(samples, st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**32))
+    def test_means_match_materialized_resamples(self, values, block_len, n_draws, seed):
+        # the block-sum kernel against its reference: gather every resample, take row means
+        x = np.asarray(values)
+        means = _resample_means(x, block_len, n_draws, derive_rng(seed))
+        reference = x[_resample_indices(len(x), block_len, n_draws, derive_rng(seed))].mean(axis=1)
+        assert np.max(np.abs(means - reference)) <= 1e-12

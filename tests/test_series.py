@@ -291,8 +291,8 @@ def _oracle_records(lines, errors):
         if missing:
             errors.append((1, f"CSV header missing required columns: {', '.join(missing)}"))
             return
-        for line_no, row in enumerate(reader, start=2):
-            yield line_no, {k: v for k, v in row.items() if k is not None}
+        for row in reader:
+            yield reader.line_num, {k: v for k, v in row.items() if k is not None}
 
 
 def oracle_parse(lines):
