@@ -275,8 +275,9 @@ def increase_fraction(
     not an increase). ``SignificantOnly`` counts significant increases among
     the robust outcomes only (significant either way, or a powered null).
     With ``groups`` given, the fraction is the mean of per-group fractions
-    and the interval is a normal interval over groups; otherwise a binomial
-    normal approximation applies.
+    and the interval is a normal interval over groups; otherwise it is the
+    Wilson score interval, which stays inside [0, 1] and has positive width
+    even when every or no result counts.
     """
     if groups is not None and len(groups) != len(results):
         raise ValueError("groups must align with results")
@@ -303,8 +304,15 @@ def increase_fraction(
     if n == 0:
         raise EmptyDenominator("no qualifying results")
     p = hits / n
-    half = 1.96 * math.sqrt(p * (1.0 - p) / n)
-    return IncreaseFraction(p, p - half, p + half, n=n)
+    # Wilson score interval; its exact bounds at hits = 0 and hits = n are set
+    # directly so that rounding cannot put them past p
+    z2 = 1.96**2
+    denom = 1.0 + z2 / n
+    center = (p + z2 / (2 * n)) / denom
+    half = 1.96 * math.sqrt(p * (1.0 - p) / n + z2 / (4 * n * n)) / denom
+    low = 0.0 if hits == 0 else center - half
+    high = 1.0 if hits == n else center + half
+    return IncreaseFraction(p, low, high, n=n)
 
 
 @dataclass

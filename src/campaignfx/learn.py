@@ -202,6 +202,8 @@ class CvResult:
     metrics: Metrics
     scores: np.ndarray  # pooled out-of-fold scores aligned with ds.rows
     fold_of: np.ndarray
+    columns: list[str]  # design-matrix column names
+    models: list  # the model fitted for each fold that has test rows
 
 
 def stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,8 +233,9 @@ def cross_validate(
     if len(ds) < k:
         raise TooFewRows(f"{len(ds)} rows < {k} folds")
     fold_of = stratified_folds(ds.y, k, derive_rng(seed, "folds", kind, *feature_sets))
-    X, _ = design_matrix(ds.rows, feature_sets)
+    X, columns = design_matrix(ds.rows, feature_sets)
     scores = np.empty(len(ds))
+    models = []
     for fold in range(k):
         test_idx = np.flatnonzero(fold_of == fold)
         train_idx = np.flatnonzero(fold_of != fold)
@@ -243,7 +246,9 @@ def cross_validate(
             derive_rng(seed, "fold-seed", fold).integers(2**32),
         )
         scores[test_idx] = model.predict_proba(X[test_idx])
-    return CvResult(metrics=_metrics_from_scores(ds.y, scores), scores=scores, fold_of=fold_of)
+        models.append(model)
+    return CvResult(metrics=_metrics_from_scores(ds.y, scores), scores=scores, fold_of=fold_of,
+                    columns=columns, models=models)
 
 
 def out_of_sample_eval(model: FittedModel, rows: Sequence[FeatureVector]) -> Metrics:

@@ -5,23 +5,25 @@ the derived RNG streams. The logistic model is a Newton solver on the
 L2-penalized log-likelihood over standardized features; the forest grows
 CART trees on bootstrapped rows with a random feature subset per split.
 
-Trees grow depth first. Each splittable node draws its ``sqrt(p)`` candidate
-features and scores them in one vectorized pass over a ``(candidates x
-rows)`` block: one stable sort along rows, one cumulative sum of the labels,
-the Gini impurity of every threshold, and one flat ``argmin``, which breaks
-ties towards the first candidate drawn and then the lowest threshold. That
-is the tie-break of a search that scores one feature at a time, and the
-nodes draw from the RNG in the same order, so tree shapes and the RNG draw
-order are those of the per-feature search. Prediction routes all trees
-together, one depth level per step, and adds the tree probabilities in
-tree order.
+All trees of a forest grow together, breadth first, one depth level per
+pass. The generator first draws every tree's bootstrap rows as one
+``(n_trees, n)`` block. At each depth the frontier nodes are ordered by tree,
+then breadth first with children in (left, right) order; the splittable
+ones (not pure, at least ``2 * min_leaf`` rows) get one ``(nodes, p)`` block
+of uniforms, and a node's ``sqrt(p)`` candidate features are the first
+columns of its row's stable argsort. Scoring takes one candidate slot at a
+time for every node: one sort of the entries by (node, rank of the value in
+its column), a cumulative label sum with per-node offsets, the Gini
+impurity of every threshold and a per-node first minimum. Of the slots, the
+first with the lowest impurity wins, so ties go to the first candidate
+drawn, then the lowest threshold. Prediction routes all trees together, one
+depth level per step, and adds the tree probabilities in tree order.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,6 +87,11 @@ class LogisticModel:
         Xs = self.scaler.transform(np.asarray(X, dtype=float))
         return _sigmoid(Xs @ self.weights + self.intercept)
 
+    @property
+    def dropped(self) -> list[int]:
+        """Indices of the constant columns the fit left out."""
+        return sorted(set(range(self.n_features)) - set(self.scaler.kept.tolist()))
+
     def coefficients_original_scale(self) -> tuple[np.ndarray, float]:
         """Weights and intercept mapped back to unscaled feature units.
 
@@ -106,9 +113,10 @@ def _penalized_nll(Xs, y, w, b, l2):
 def train_logistic(X: np.ndarray, y: np.ndarray) -> LogisticModel:
     """Newton fit of the L2-penalized logistic likelihood.
 
-    Constant feature columns are dropped with a warning before fitting;
-    training fails only when no informative column remains. Convergence is
-    declared when every gradient component is below ``LOGISTIC_TOL``.
+    Constant feature columns are dropped before fitting (``dropped`` lists
+    them); training fails only when no informative column remains.
+    Convergence is declared when every gradient component is below
+    ``LOGISTIC_TOL``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -118,9 +126,6 @@ def train_logistic(X: np.ndarray, y: np.ndarray) -> LogisticModel:
     scaler = Scaler.fit(X)
     if len(scaler.kept) == 0:
         raise SingularFit("all feature columns are constant")
-    if len(scaler.kept) < X.shape[1]:
-        dropped = sorted(set(range(X.shape[1])) - set(scaler.kept.tolist()))
-        warnings.warn(f"dropping constant feature columns {dropped}", stacklevel=2)
     Xs = scaler.transform(X)
     n, p = Xs.shape
 
@@ -161,116 +166,59 @@ def train_logistic(X: np.ndarray, y: np.ndarray) -> LogisticModel:
 
 
 @dataclass
-class _Tree:
+class ForestModel:
+    """All trees of a forest as one set of node arrays.
+
+    Nodes ``0 .. n_trees - 1`` are the roots, and each depth level's
+    children follow the level before them. A leaf has ``feature`` -1; an
+    inner node sends a row to ``left`` when its ``feature`` value is at most
+    ``threshold``, else to ``right``. ``prob`` is the positive share of the
+    node's bootstrap rows.
+    """
+
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     prob: np.ndarray
-
-
-def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, config: ForestConfig) -> _Tree:
-    """Depth-first CART growth; each node scores its candidates as one block.
-
-    Among equal best impurities, the flat ``argmin`` takes the first
-    candidate in draw order, then the lowest threshold.
-    """
-    p = X.shape[1]
-    n_candidates = max(1, int(math.sqrt(p)))
-    min_leaf = config.min_leaf
-    feature: list[int] = [-1]
-    threshold: list[float] = [0.0]
-    left: list[int] = [-1]
-    right: list[int] = [-1]
-    prob: list[float] = [0.0]
-    block_rows = np.arange(n_candidates)[:, None]
-    # (node, its rows of X.T, its labels): children carry copies, not indices
-    stack = [(0, np.ascontiguousarray(X.T), y)]
-    while stack:
-        node, Xt, ys = stack.pop()
-        m = len(ys)
-        pos = float(ys.sum())
-        prob[node] = pos / m
-        if pos == 0 or pos == m or m < 2 * min_leaf:
-            continue
-        parent_gini = 2.0 * prob[node] * (1.0 - prob[node])
-        candidates = rng.choice(p, size=n_candidates, replace=False)
-        block = Xt[candidates]
-        order = np.argsort(block, axis=1, kind="mergesort")
-        xs = block[block_rows, order]
-        cum = np.cumsum(ys[order], axis=1)
-        pos_left = cum[:, :-1]
-        pos_right = cum[:, -1:] - pos_left
-        n_left = np.arange(1, m)
-        n_right = m - n_left
-        gini_left = 2.0 * pos_left * (n_left - pos_left) / n_left
-        gini_right = 2.0 * pos_right * (n_right - pos_right) / n_right
-        valid = (xs[:, 1:] != xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-        impurity = np.where(valid, (gini_left + gini_right) / m, np.inf)
-        best = int(np.argmin(impurity))
-        c, t = divmod(best, m - 1)
-        # a block with no valid threshold is inf throughout
-        if not impurity[c, t] < parent_gini - 1e-15:
-            continue
-        thr = 0.5 * (xs[c, t] + xs[c, t + 1])
-        f = int(candidates[c])
-        mask = Xt[f] <= thr
-        # adjacent float values can collapse the midpoint onto one side
-        if np.count_nonzero(mask) in (0, m):
-            continue
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = len(feature)
-        right[node] = len(feature) + 1
-        feature += [-1, -1]
-        threshold += [0.0, 0.0]
-        left += [-1, -1]
-        right += [-1, -1]
-        prob += [0.0, 0.0]
-        stack.append((left[node], Xt[:, mask], ys[mask]))
-        stack.append((right[node], Xt[:, ~mask], ys[~mask]))
-    return _Tree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        prob=np.array(prob, dtype=float),
-    )
-
-
-@dataclass
-class ForestModel:
-    trees: list[_Tree] = field(default_factory=list)
+    n_trees: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Mean leaf probability over trees, routing every tree at once.
 
-        The node arrays of all trees are laid end to end, and each pass
-        moves every (tree, row) pair that sits on an inner node one level
-        down. Tree probabilities are added in tree order.
+        Each pass moves every (tree, row) pair that sits on an inner node one
+        level down. Tree probabilities are added in tree order.
         """
         X = np.asarray(X, dtype=float)
         n = len(X)
-        sizes = [len(tree.feature) for tree in self.trees]
-        offsets = np.cumsum([0] + sizes[:-1])
-        feature = np.concatenate([tree.feature for tree in self.trees])
-        threshold = np.concatenate([tree.threshold for tree in self.trees])
-        left = np.concatenate([tree.left + off for tree, off in zip(self.trees, offsets)])
-        right = np.concatenate([tree.right + off for tree, off in zip(self.trees, offsets)])
-        prob = np.concatenate([tree.prob for tree in self.trees])
-        node = np.repeat(offsets, n)
-        row = np.tile(np.arange(n), len(self.trees))
-        inner = np.flatnonzero(feature[node] >= 0)
+        node = np.repeat(np.arange(self.n_trees), n)
+        row = np.tile(np.arange(n), self.n_trees)
+        inner = np.flatnonzero(self.feature[node] >= 0)
         while len(inner):
             at = node[inner]
-            goes_left = X[row[inner], feature[at]] <= threshold[at]
-            node[inner] = np.where(goes_left, left[at], right[at])
-            inner = inner[feature[node[inner]] >= 0]
-        leaf_prob = prob[node].reshape(len(self.trees), n)
+            goes_left = X[row[inner], self.feature[at]] <= self.threshold[at]
+            node[inner] = np.where(goes_left, self.left[at], self.right[at])
+            inner = inner[self.feature[node[inner]] >= 0]
         total = np.zeros(n)
-        for tree_prob in leaf_prob:
+        for tree_prob in self.prob[node].reshape(self.n_trees, n):
             total += tree_prob
-        return total / len(self.trees)
+        return total / self.n_trees
+
+
+def _column_ranks(X: np.ndarray) -> np.ndarray:
+    """Dense rank of every value within its column, from 0.
+
+    Equal values share a rank, so sorting by (node, rank) orders each node's
+    rows as their values would. The order among equal values is then left
+    to the sort, and the split search does not depend on it: it scores only
+    thresholds between distinct values.
+    """
+    by_value = np.argsort(X, axis=0)
+    steps = np.zeros(X.shape, dtype=np.int64)
+    steps[1:] = np.diff(np.take_along_axis(X, by_value, axis=0), axis=0) != 0
+    rank = np.empty(X.shape, dtype=np.int64)
+    np.put_along_axis(rank, by_value, np.cumsum(steps, axis=0), axis=0)
+    return rank
 
 
 def train_forest(
@@ -282,14 +230,101 @@ def train_forest(
     """Random forest of Gini CART trees on bootstrapped rows.
 
     Each tree draws a row bootstrap and examines sqrt(p) features per split;
-    nodes split until pure or below twice the minimum leaf size.
+    nodes split until pure or below twice the minimum leaf size. All trees
+    grow together, one depth level per pass (see the module docstring for
+    the split search and the order of the RNG draws).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     _require_two_per_class(y)
-    n = len(X)
-    model = ForestModel()
-    for _ in range(config.n_trees):
-        rows = rng.integers(0, n, size=n)
-        model.trees.append(_grow_tree(X[rows], y[rows], rng, config))
-    return model
+    n, p = X.shape
+    # a leaf holds at least one row, whatever min_leaf says
+    n_trees, min_leaf = config.n_trees, max(1, config.min_leaf)
+    n_candidates = max(1, int(math.sqrt(p)))
+    rank = _column_ranks(X).T.ravel()  # rank of X[i, j] at j * n + i
+    # frontier entries, grouped by node: the node each sits in and its row of X
+    node = np.repeat(np.arange(n_trees), n)
+    row = rng.integers(0, n, size=(n_trees, n)).ravel()
+    levels = []  # (feature, threshold, left, right, prob) of each level's nodes
+    first, width = 0, n_trees  # the frontier is nodes first .. first + width - 1
+    while width:
+        local = node - first
+        labels = y[row]
+        size = np.bincount(local, minlength=width)
+        pos = np.bincount(local, weights=labels, minlength=width)
+        prob = pos / size
+        feature = np.full(width, -1)
+        threshold = np.zeros(width)
+        left = np.full(width, -1)
+        right = np.full(width, -1)
+        levels.append((feature, threshold, left, right, prob))
+        can_split = (pos > 0) & (pos < size) & (size >= 2 * min_leaf)
+        splittable = np.flatnonzero(can_split)
+        n_split = len(splittable)
+        if not n_split:
+            break
+        candidates = np.argsort(rng.random((n_split, p)), axis=1, kind="stable")[:, :n_candidates]
+        # entries of splittable nodes only; ``of`` numbers their nodes 0 .. n_split - 1
+        keep = can_split[local]
+        of = (np.cumsum(can_split) - 1)[local[keep]]
+        row, labels = row[keep], labels[keep]
+        m = size[splittable]
+        start = np.cumsum(m) - m
+        entries = len(row)
+        m_e = np.repeat(m, m)
+        n_left = np.arange(1, entries + 1) - np.repeat(start, m)
+        n_right = m_e - n_left
+        pos_e = np.repeat(pos[splittable], m)
+        # positive labels in the nodes before each entry's node
+        before_e = np.repeat(np.cumsum(pos[splittable]) - pos[splittable], m)
+        sizes_ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        # n_right is 0 only at a node's last entry, which sizes_ok excludes
+        n_right_div = np.maximum(n_right, 1)
+        index = np.arange(entries)
+        node_key = of * n
+        # per slot and node: the lowest impurity, and the rows on either side
+        # of its first threshold
+        low = np.empty((n_candidates, n_split))
+        below = np.empty((n_candidates, n_split), dtype=np.int64)
+        above = np.empty((n_candidates, n_split), dtype=np.int64)
+        for k, slot in enumerate(candidates.T):
+            key = node_key + rank[slot[of] * n + row]
+            order = np.argsort(key)
+            key = key[order]
+            pos_left = np.cumsum(labels[order]) - before_e
+            pos_right = pos_e - pos_left
+            gini_left = 2.0 * pos_left * (n_left - pos_left) / n_left
+            gini_right = 2.0 * pos_right * (n_right - pos_right) / n_right_div
+            valid = sizes_ok.copy()
+            valid[:-1] &= key[1:] != key[:-1]
+            impurity = np.where(valid, (gini_left + gini_right) / m_e, np.inf)
+            low[k] = np.minimum.reduceat(impurity, start)
+            at = np.minimum.reduceat(np.where(impurity == np.repeat(low[k], m), index, entries), start)
+            below[k], above[k] = row[order[at]], row[order[at + 1]]
+        # argmin takes the first slot among equal impurities
+        best = np.argmin(low, axis=0)
+        nodes = np.arange(n_split)
+        best_impurity = low[best, nodes]
+        best_feature = candidates[nodes, best]
+        best_threshold = 0.5 * (X[below[best, nodes], best_feature] + X[above[best, nodes], best_feature])
+        goes_left = X[row, best_feature[of]] <= best_threshold[of]
+        n_goes_left = np.bincount(of[goes_left], minlength=n_split)
+        gini = 2.0 * prob[splittable] * (1.0 - prob[splittable])
+        # adjacent float values can collapse the midpoint onto one side
+        splits = (best_impurity < gini - 1e-15) & (n_goes_left > 0) & (n_goes_left < m)
+        parents = splittable[splits]
+        child = first + width + 2 * np.arange(len(parents))
+        feature[parents] = best_feature[splits]
+        threshold[parents] = best_threshold[splits]
+        left[parents] = child
+        right[parents] = child + 1
+        left_of = np.full(n_split, -1)
+        left_of[splits] = child
+        moves = splits[of]
+        child_node = (left_of[of] + ~goes_left)[moves]
+        order = np.argsort(child_node, kind="stable")
+        node, row = child_node[order], row[moves][order]
+        first, width = first + width, 2 * len(parents)
+    feature, threshold, left, right, prob = (np.concatenate(parts) for parts in zip(*levels))
+    return ForestModel(feature=feature, threshold=threshold, left=left, right=right,
+                       prob=prob, n_trees=n_trees)

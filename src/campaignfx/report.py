@@ -196,16 +196,21 @@ def train_models(
                     metrics_records.append(record)
                     continue
                 record["metrics"] = asdict(cv.metrics)
-                if kind == "logistic":
-                    cv_scores[combo] = cv.scores
+                fits = list(cv.models)
                 if eval_rows:
                     model = train_model(ds.rows, ds.y, kind, combo, seed=config.seed)
-                    if kind == "logistic":
-                        full_logistic[combo] = model
+                    fits.append(model.inner)
                     record["out_of_sample"] = {
                         "metrics": asdict(out_of_sample_eval(model, eval_rows)),
                         "n_rows": len(eval_rows),
                     }
+                if kind == "logistic":
+                    cv_scores[combo] = cv.scores
+                    if eval_rows:
+                        full_logistic[combo] = model
+                    record["dropped_columns"] = sorted(
+                        {cv.columns[j] for fit in fits for j in fit.dropped})
+                    record["not_converged"] = sum(not fit.converged for fit in fits)
                 metrics_records.append(record)
 
         pair_a, pair_b = RMS_PAIR

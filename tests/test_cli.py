@@ -425,6 +425,29 @@ class TestTrainCommand:
         assert set(record["metrics"]) == {"accuracy", "f_measure", "auc"}
         assert "cv" in payload["rms_gaps"]
         assert payload["rms_gaps"]["cv"]["short_term"] >= 0.0
+        # crafted_features holds one constant column in each feature set
+        constant = {"F_v": {"loyalty_missing"}, "F_p": {"n_s"}, "F_g": {"competitiveness", "entropy"}}
+        for record in payload["models"]:
+            if record["model"] == "forest":
+                assert "dropped_columns" not in record and "not_converged" not in record
+                continue
+            want = sorted(set().union(*(constant[name] for name in record["feature_sets"])))
+            assert record["dropped_columns"] == want
+            assert record["not_converged"] == 0
+
+    def test_train_counts_unconverged_fits(self, tmp_path, monkeypatch):
+        import campaignfx.models
+
+        monkeypatch.setattr(campaignfx.models, "LOGISTIC_MAX_ITER", 1)
+        features = tmp_path / "features.csv"
+        features.write_text(write_features_csv(crafted_features()))
+        out = tmp_path / "models"
+        assert run(["train", "--features", features, "--folds", 5, "--seed", 2, "--out", out]) == 0
+        payload = json.loads((out / "model_metrics.json").read_text())
+        logistic = [r for r in payload["models"] if r["model"] == "logistic"]
+        assert len(logistic) == 14
+        # one Newton step converges nowhere: 5 fold fits and the full fit
+        assert all(r["not_converged"] == 6 for r in logistic)
 
     def test_train_deterministic_bytes(self, tmp_path):
         features = tmp_path / "features.csv"

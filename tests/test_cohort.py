@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from campaignfx.cohort import (
@@ -234,9 +234,20 @@ class TestIncreaseFraction:
         results = [result(diff=1.0)] * 30 + [result(diff=-1.0)] * 10
         f = increase_fraction(results, FractionMode.RAW_SIGN)
         assert f.fraction == pytest.approx(0.75)
-        half = 1.96 * math.sqrt(0.75 * 0.25 / 40)
-        assert f.ci_low == pytest.approx(0.75 - half)
-        assert f.ci_high == pytest.approx(0.75 + half)
+        # Wilson score bounds in counts form: (x + z²/2 ± z·sqrt(x(n-x)/n + z²/4)) / (n + z²)
+        z = 1.96
+        half = z * math.sqrt(30 * 10 / 40 + z * z / 4)
+        assert f.ci_low == pytest.approx((30 + z * z / 2 - half) / (40 + z * z))
+        assert f.ci_high == pytest.approx((30 + z * z / 2 + half) / (40 + z * z))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5000).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+    def test_pooled_interval_in_range(self, hits_n):
+        hits, n = hits_n
+        results = [result(diff=1.0)] * hits + [result(diff=-1.0)] * (n - hits)
+        f = increase_fraction(results, FractionMode.RAW_SIGN)
+        assert 0.0 <= f.ci_low <= f.fraction <= f.ci_high <= 1.0
+        assert f.ci_high > f.ci_low
 
 
 class TestEffectEcdf:

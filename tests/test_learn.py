@@ -156,12 +156,12 @@ class TestLogistic:
         assert intercept == pytest.approx(-0.3, abs=0.05)
         assert model.converged
 
-    def test_constant_column_dropped_with_warning(self):
+    def test_constant_column_dropped(self):
         rng = derive_rng(33)
         X = np.column_stack([rng.normal(size=200), np.full(200, 3.0)])
         y = (X[:, 0] > 0).astype(float)
-        with pytest.warns(UserWarning, match="constant"):
-            model = train_logistic(X, y)
+        model = train_logistic(X, y)
+        assert model.dropped == [1]
         assert model.predict_proba(X).shape == (200,)
         coef, _ = model.coefficients_original_scale()
         assert coef[1] == 0.0
@@ -221,7 +221,7 @@ class TestForest:
     def test_hundred_trees(self):
         X, y = self.xor_data(100, 45)
         model = train_forest(X, y, derive_rng(46))
-        assert len(model.trees) == 100
+        assert model.n_trees == 100
 
 
 def _row(m_b, label, d=None):
