@@ -8,19 +8,22 @@ artifacts, and ``report`` aggregates everything into ``report.json``.
 Each command computes all of its artifacts before any is saved, and
 ``write_artifacts`` saves them together. Exit codes: 0 success, 1 validation
 error, 2 I/O error. A failing command adds no artifacts and leaves existing
-ones as they were.
+ones as they were. The first command to parse a snapshot file leaves its
+parse in ``--out`` as one more artifact, which later commands on the same
+bytes load instead of parsing again (``snapcache``).
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import BinaryIO, Callable, Optional, Sequence
 
 from .campaign import EligibilityReport, offer_stats
 from .cohort import parse_venues
@@ -44,29 +47,36 @@ from .pipeline import (
 from .features import read_features_csv, write_features_csv
 from .report import build_report, feature_auc_csv, render_report, train_models
 from .series import MAX_GRID_DAYS, ParseError
+from .snapcache import CACHE_NAME, cache_key, load_cache, read_lines, write_cache
 from .synth import SynthConfig, generate_corpus_data
 
 # every knob but horizon is a number flag of its default's type
 _KNOB_FLAGS = tuple((f.name, type(f.default)) for f in fields(RunConfig) if f.name != "horizon")
 
-Artifacts = dict[str, str]  # artifact file name -> its text
+# artifact file name -> its text, or a function writing its bytes to a file
+Artifacts = dict[str, str | Callable[[BinaryIO], None]]
 
 
 def write_artifacts(out: Path, artifacts: Artifacts) -> None:
     """Save every artifact under ``out``, or none of them.
 
-    Each text first goes to a temporary sibling; only when all are written
-    does each replace its target. Temporaries left by a failure are removed.
+    Each artifact first goes to a temporary sibling; only when all are
+    written does each replace its target. Temporaries left by a failure are
+    removed.
     """
     out.mkdir(parents=True, exist_ok=True)
     staged = []
     try:
-        for name, text in artifacts.items():
+        for name, content in artifacts.items():
             tmp, path = out / f".{name}.tmp", out / name
             if path.is_dir():  # the one target a replace would still refuse
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             staged.append((tmp, path))
-            tmp.write_text(text)
+            if isinstance(content, str):
+                tmp.write_text(content)
+            else:
+                with tmp.open("wb") as f:
+                    content(f)
         for tmp, path in staged:
             os.replace(tmp, path)
             print(f"wrote {path}")
@@ -96,14 +106,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return build_run_config(file_text=file_text, overrides=overrides)
 
 
-def _read_lines(path: Path) -> list[str]:
-    # text mode turns \r\n and \r into \n and breaks lines there only;
-    # splitlines() would also break at U+0085, U+2028 and U+2029, which JSON
-    # allows raw inside strings
-    with path.open() as f:
-        return [line.removesuffix("\n") for line in f]
-
-
 def _read_table(path: Path, reader: Callable[[str], list]) -> list:
     """``reader`` of the artifact CSV at ``path``; a malformed table is an error naming the file."""
     try:
@@ -112,10 +114,10 @@ def _read_table(path: Path, reader: Callable[[str], list]) -> list:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _warn_parse_errors(errors: Sequence[ParseError]) -> None:
+def _warn_parse_errors(path: Path, errors: Sequence[ParseError]) -> None:
     if errors:
         print(
-            f"warning: {len(errors)} malformed records skipped "
+            f"warning: {len(errors)} malformed records skipped in {path} "
             f"(first: line {errors[0].line_no}: {errors[0].message})",
             file=sys.stderr,
         )
@@ -123,18 +125,25 @@ def _warn_parse_errors(errors: Sequence[ParseError]) -> None:
 
 def _stage_inputs(
     args: argparse.Namespace, venues_required: Optional[str] = None
-) -> tuple[RunConfig, LoadedCorpus, EligibilityReport]:
+) -> tuple[RunConfig, LoadedCorpus, EligibilityReport, Artifacts]:
     """Config, loaded corpus and eligibility report of a corpus-reading command.
 
     With ``venues_required`` (the error message), the venues file is loaded
-    too and must yield at least one profile.
+    too and must yield at least one profile. The artifacts returned hold the
+    snapshot parse cache when it had to be parsed, and nothing otherwise.
     """
     config = _run_config(args)
-    lines = [_read_lines(args.snapshots), _read_lines(args.offers)]
+    key = cache_key(args.snapshots)
+    cached = load_cache(args.out / CACHE_NAME, key)
+    inputs = [cached if cached is not None else read_lines(args.snapshots), read_lines(args.offers)]
     if venues_required:
-        lines.append(_read_lines(args.venues))
-    corpus = load_corpus(*lines)
-    _warn_parse_errors(corpus.parse_errors)
+        inputs.append(read_lines(args.venues))
+    corpus = load_corpus(*inputs)
+    artifacts: Artifacts = {}
+    if cached is None:
+        artifacts[CACHE_NAME] = functools.partial(write_cache, key=key, report=corpus.snapshot_parse)
+    for name, errors in corpus.parse_errors.items():
+        _warn_parse_errors(getattr(args, name), errors)
     for skipped, what, why in (
         (corpus.long_span_venues, "venues", f"readings span {MAX_GRID_DAYS} days or more"),
         ([o.special_id for o in corpus.unplaced_offers], "offers", "venue has no usable daily series"),
@@ -143,7 +152,7 @@ def _stage_inputs(
             print(f"warning: {len(skipped)} {what} skipped: {why} (first: {skipped[0]})", file=sys.stderr)
     if venues_required and not corpus.profiles:
         raise InvalidConfig(venues_required)
-    return config, corpus, segment_stage(corpus, config)
+    return config, corpus, segment_stage(corpus, config), artifacts
 
 
 def cmd_synth(args: argparse.Namespace) -> Artifacts:
@@ -172,9 +181,9 @@ def cmd_synth(args: argparse.Namespace) -> Artifacts:
 
 
 def cmd_segment(args: argparse.Namespace) -> Artifacts:
-    config, corpus, eligibility = _stage_inputs(args)
+    config, corpus, eligibility, artifacts = _stage_inputs(args)
     print(f"eligible campaigns: {len(eligibility.eligible)}, skipped: {len(eligibility.skipped)}")
-    return {
+    return artifacts | {
         "campaigns.csv": write_campaigns_csv(eligibility),
         "skipped.csv": write_skipped_csv(eligibility),
         "offer_stats.json": render_report(asdict(offer_stats(corpus.periods))),
@@ -182,19 +191,19 @@ def cmd_segment(args: argparse.Namespace) -> Artifacts:
 
 
 def cmd_test(args: argparse.Namespace) -> Artifacts:
-    config, corpus, eligibility = _stage_inputs(args)
+    config, corpus, eligibility, artifacts = _stage_inputs(args)
     if args.groups is not None:
         groups = _read_table(args.groups, read_groups_csv)
         effects = reference_test_stage(corpus, groups, config)
         print(f"tested {len(effects)} reference windows")
-        return {"reference_effects.csv": write_effects_csv(effects)}
+        return artifacts | {"reference_effects.csv": write_effects_csv(effects)}
     effects = test_stage(corpus, eligibility, config)
     print(f"tested {len(effects)} campaign windows")
-    return {"effects.csv": write_effects_csv(effects)}
+    return artifacts | {"effects.csv": write_effects_csv(effects)}
 
 
 def cmd_match(args: argparse.Namespace) -> Artifacts:
-    config, corpus, eligibility = _stage_inputs(
+    config, corpus, eligibility, artifacts = _stage_inputs(
         args, venues_required="matching requires a venues file with profiles"
     )
     result = match_stage(corpus, eligibility, config)
@@ -204,17 +213,17 @@ def cmd_match(args: argparse.Namespace) -> Artifacts:
         f"exhausted slots: {result.exhausted_count}, unfittable: {result.unfittable_count}, "
         f"zero-activity removed: {result.zero_removed}"
     )
-    return {"groups.csv": write_groups_csv(result.groups)}
+    return artifacts | {"groups.csv": write_groups_csv(result.groups)}
 
 
 def cmd_features(args: argparse.Namespace) -> Artifacts:
-    config, corpus, eligibility = _stage_inputs(
+    config, corpus, eligibility, artifacts = _stage_inputs(
         args, venues_required="feature extraction requires a venues file"
     )
     effects = _read_table(args.effects, read_effects_csv)
     rows = features_stage(corpus, eligibility, effects, config)
     print(f"extracted {len(rows)} feature rows")
-    return {"features.csv": write_features_csv(rows)}
+    return artifacts | {"features.csv": write_features_csv(rows)}
 
 
 def cmd_train(args: argparse.Namespace) -> Artifacts:
@@ -238,8 +247,8 @@ def cmd_report(args: argparse.Namespace) -> Artifacts:
     feature_rows = _read_table(args.features, read_features_csv) if args.features else []
     profiles = []
     if args.venues:
-        venue_report = parse_venues(_read_lines(args.venues))
-        _warn_parse_errors(venue_report.errors)
+        venue_report = parse_venues(read_lines(args.venues))
+        _warn_parse_errors(args.venues, venue_report.errors)
         profiles = venue_report.profiles
     model_payload = json.loads(args.model_metrics.read_text()) if args.model_metrics else {}
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .effect import EffectLabel, EffectResult
 from .errors import EmptyDenominator, IneligibleCampaign
+from .rng import derive_rng
 from .series import BEFORE_DAYS, MIN_CAMPAIGN_DAYS, DailySeries, ParseError, parse_records, segment
 
 MATCH_CELL_DEG = 0.1
@@ -248,6 +249,9 @@ _COUNTED_LABELS = (
 )
 
 
+FRACTION_BOOTSTRAPS = 4999  # resamples of the group fractions behind a grouped interval
+
+
 @dataclass
 class IncreaseFraction:
     fraction: float
@@ -268,6 +272,7 @@ def increase_fraction(
     results: Sequence[EffectResult],
     mode: FractionMode,
     groups: Optional[Sequence[int]] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> IncreaseFraction:
     """Fraction of campaigns showing an increase, with a 95% interval.
 
@@ -275,9 +280,11 @@ def increase_fraction(
     not an increase). ``SignificantOnly`` counts significant increases among
     the robust outcomes only (significant either way, or a powered null).
     With ``groups`` given, the fraction is the mean of per-group fractions
-    and the interval is a normal interval over groups; otherwise it is the
-    Wilson score interval, which stays inside [0, 1] and has positive width
-    even when every or no result counts.
+    and the interval is a percentile bootstrap over the groups:
+    ``FRACTION_BOOTSTRAPS`` resamples drawn from ``rng`` (by default one
+    fixed stream), each a mean of fractions, so it stays inside [0, 1].
+    Otherwise it is the Wilson score interval, which stays inside [0, 1] and
+    has positive width even when every or no result counts.
     """
     if groups is not None and len(groups) != len(results):
         raise ValueError("groups must align with results")
@@ -297,8 +304,11 @@ def increase_fraction(
             raise EmptyDenominator("no group has qualifying results")
         arr = np.array(fractions)
         mean = float(arr.mean())
-        half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
-        return IncreaseFraction(mean, mean - half, mean + half, n=len(arr))
+        rng = rng if rng is not None else derive_rng(0, "fraction")
+        means = arr[rng.integers(0, len(arr), size=(FRACTION_BOOTSTRAPS, len(arr)))].mean(axis=1)
+        low, high = np.quantile(means, [0.025, 0.975]).tolist()
+        # Monte Carlo error can leave the estimate of a lopsided sample just outside
+        return IncreaseFraction(mean, min(low, mean), max(high, mean), n=len(arr))
 
     hits, n = _fraction_of(results, mode)
     if n == 0:

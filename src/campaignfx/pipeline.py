@@ -34,6 +34,7 @@ from .series import (
     DailyCumulative,
     DailySeries,
     ParseError,
+    ParseReport,
     SegmentedSeries,
     VenueSnapshots,
     csv_text,
@@ -52,7 +53,9 @@ class LoadedCorpus:
     series: dict[str, DailySeries]
     periods: list[PromotionPeriod]
     profiles: list[VenueProfile]
-    parse_errors: list[ParseError] = field(default_factory=list)
+    snapshot_parse: Optional[ParseReport] = None  # what ``snapshots`` came from, when loaded from input
+    # input ("snapshots", "offers", "venues") -> its malformed lines, when loaded from input
+    parse_errors: dict[str, list[ParseError]] = field(default_factory=dict)
     short_series_venues: list[str] = field(default_factory=list)
     long_span_venues: list[str] = field(default_factory=list)  # readings span MAX_GRID_DAYS or more
     unplaced_offers: list[RawOffer] = field(default_factory=list)  # venue has no usable daily series
@@ -80,7 +83,6 @@ def build_corpus(
     snapshots: dict[str, VenueSnapshots],
     raw_offers: Sequence[RawOffer],
     profiles: Sequence[VenueProfile],
-    parse_errors: Optional[list[ParseError]] = None,
 ) -> LoadedCorpus:
     """Derive daily series and promotion periods from already-parsed inputs."""
     cumulative: dict[str, DailyCumulative] = {}
@@ -113,7 +115,6 @@ def build_corpus(
         series=series,
         periods=periods,
         profiles=resolved_profiles,
-        parse_errors=parse_errors or [],
         short_series_venues=short_series,
         long_span_venues=long_span,
         unplaced_offers=unplaced,
@@ -121,20 +122,26 @@ def build_corpus(
 
 
 def load_corpus(
-    snapshot_lines: Iterable[str],
+    snapshots: Iterable[str] | ParseReport,
     offer_lines: Iterable[str],
     venue_lines: Optional[Iterable[str]] = None,
 ) -> LoadedCorpus:
-    """Parse raw JSONL/CSV inputs and derive the working corpus."""
-    snap_report = parse_snapshots(snapshot_lines)
+    """Parse raw JSONL/CSV inputs and derive the working corpus.
+
+    ``snapshots`` is the snapshot file's lines, or a report that already
+    holds their parse.
+    """
+    snap_report = snapshots if isinstance(snapshots, ParseReport) else parse_snapshots(snapshots)
     offer_report = campaign_mod.parse_offers(offer_lines)
+    errors = {"snapshots": snap_report.errors, "offers": offer_report.errors}
     profiles: list[VenueProfile] = []
-    errors = list(snap_report.errors) + list(offer_report.errors)
     if venue_lines is not None:
         venue_report = cohort_mod.parse_venues(venue_lines)
         profiles = venue_report.profiles
-        errors.extend(venue_report.errors)
-    return build_corpus(snap_report.readings, offer_report.offers, profiles, errors)
+        errors["venues"] = venue_report.errors
+    corpus = build_corpus(snap_report.readings, offer_report.offers, profiles)
+    corpus.snapshot_parse, corpus.parse_errors = snap_report, errors
+    return corpus
 
 
 def segment_stage(corpus: LoadedCorpus, config: RunConfig) -> EligibilityReport:

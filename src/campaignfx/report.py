@@ -30,6 +30,7 @@ from .learn import (
     train_model,
 )
 from .pipeline import CampaignEffect, _horizons
+from .rng import derive_rng
 from .series import csv_text
 
 # numeric features reported in the per-feature table
@@ -61,12 +62,16 @@ def _horizon_key(horizon: Horizon) -> str:
 _FRACTION_MODES = (("raw_sign", FractionMode.RAW_SIGN), ("significant_only", FractionMode.SIGNIFICANT_ONLY))
 
 
-def _fractions(results, groups=None) -> dict:
-    """Increase fraction of ``results`` in each mode; ``None`` where the mode counts nothing."""
+def _fractions(results, groups=None, stream=None) -> dict:
+    """Increase fraction of ``results`` in each mode; ``None`` where the mode counts nothing.
+
+    With ``stream``, a grouped interval draws from ``derive_rng(*stream, mode)``.
+    """
     out = {}
     for key, mode in _FRACTION_MODES:
+        rng = derive_rng(*stream, key) if stream is not None else None
         try:
-            out[key] = asdict(increase_fraction(results, mode, groups=groups))
+            out[key] = asdict(increase_fraction(results, mode, groups=groups, rng=rng))
         except EmptyDenominator:
             out[key] = None
     return out
@@ -81,6 +86,7 @@ def effect_tables(
     effects: Sequence[CampaignEffect],
     reference_effects: Sequence[CampaignEffect],
     profiles: Sequence[VenueProfile],
+    seed: int,
 ) -> dict:
     """Increase fractions, label counts, and effect-size ECDFs per horizon."""
     category_of = {p.venue_id: p.category.value for p in profiles}
@@ -101,7 +107,10 @@ def effect_tables(
             }
             ecdf_tables["all"] = _ecdf([r.cohens_d for r in promo_results])
         if ref:
-            entry["reference"] = _fractions([e.result for e in ref], groups=[e.group_id for e in ref])
+            entry["reference"] = _fractions(
+                [e.result for e in ref], groups=[e.group_id for e in ref],
+                stream=(seed, "fraction", _horizon_key(horizon), "reference"),
+            )
         by_category = {}
         for cat in CATEGORIES:
             cat_results = [e.result for e in promo if category_of.get(e.venue_id) == cat.value]
@@ -236,7 +245,7 @@ def build_report(
     return {
         "config": config.as_dict(),
         "cohort_summary": cohort_summary,
-        "effect_tables": effect_tables(effects, reference_effects, profiles),
+        "effect_tables": effect_tables(effects, reference_effects, profiles, config.seed),
         "feature_aucs": feature_auc_table(feature_rows) if feature_rows else [],
         "model_metrics": model_metrics or [],
         "rms_gaps": rms_gaps or {"cv": {}, "out_of_sample": {}},

@@ -131,6 +131,9 @@ class ParseReport:
     readings: dict[str, VenueSnapshots] = field(default_factory=dict)
     errors: list[ParseError] = field(default_factory=list)
     duplicate_timestamps: int = 0
+    # (5, M) float64 block of ts, checkins, users, tips, likes; each venue's
+    # columns in ``readings`` are slices of it, venue after venue
+    columns: np.ndarray = field(default_factory=lambda: np.empty((5, 0)), compare=False, repr=False)
 
     @property
     def error_count(self) -> int:
@@ -315,11 +318,18 @@ def parse_snapshots(lines: Iterable[str]) -> ParseReport:
     keep = np.ones(len(codes), dtype=bool)
     keep[:-1] = (codes[1:] != codes[:-1]) | (ts[1:] != ts[:-1])  # a later poll supersedes
     report.duplicate_timestamps = len(codes) - int(np.count_nonzero(keep))
-    columns = table[order[keep]].T.copy()
+    report.columns = table[order[keep]].T.copy()
     bounds = np.searchsorted(codes[keep], np.arange(len(code_of) + 1)).tolist()
-    for venue_id, lo, hi in zip(code_of, bounds, bounds[1:]):
-        report.readings[venue_id] = VenueSnapshots(venue_id, *(column[lo:hi] for column in columns))
+    report.readings = venue_columns(report.columns, code_of, bounds)
     return report
+
+
+def venue_columns(columns: np.ndarray, venue_ids: Iterable[str], bounds: Sequence[int]) -> dict[str, VenueSnapshots]:
+    """Each venue's ``VenueSnapshots``, in order: columns ``bounds[i]:bounds[i + 1]`` of the block for venue ``i``."""
+    return {
+        venue_id: VenueSnapshots(venue_id, *(column[lo:hi] for column in columns))
+        for venue_id, lo, hi in zip(venue_ids, bounds, bounds[1:])
+    }
 
 
 def interpolate_daily(snapshots: VenueSnapshots) -> DailyCumulative:

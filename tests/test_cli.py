@@ -1,10 +1,13 @@
+import collections
 import csv
 import inspect
 import io
 import json
 
+import numpy as np
 import pytest
 
+from campaignfx import cli, pipeline
 from campaignfx.campaign import eligible_campaigns
 from campaignfx.cli import main
 from campaignfx.cohort import assign_pseudo_periods, match_reference
@@ -14,6 +17,7 @@ from campaignfx.errors import InvalidConfig
 from campaignfx.features import neighborhood, write_features_csv
 from campaignfx.learn import cross_validate
 from campaignfx.series import segment
+from campaignfx.snapcache import CACHE_NAME, read_lines
 
 
 def run(args):
@@ -273,7 +277,7 @@ class TestPipelineCommands:
         offers.write_text("")
         assert run(["segment", "--snapshots", snapshots, "--offers", offers, "--out", tmp_path / "run"]) == 0
         err = capsys.readouterr().err
-        assert err.startswith("warning: 1 malformed records skipped (first: line 4: ")
+        assert err.startswith(f"warning: 1 malformed records skipped in {snapshots} (first: line 4: ")
 
     def test_report_warns_about_malformed_venue_lines(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -286,7 +290,7 @@ class TestPipelineCommands:
         capsys.readouterr()
         assert run(["report", "--effects", out / "effects.csv", "--venues", venues, "--out", out]) == 0
         err = capsys.readouterr().err
-        assert f"warning: 1 malformed records skipped (first: line {len(lines) + 1}: " in err
+        assert f"warning: 1 malformed records skipped in {venues} (first: line {len(lines) + 1}: " in err
         report = json.loads((out / "report.json").read_text())
         assert report["cohort_summary"]["n_venues"] == len(lines)
 
@@ -469,3 +473,112 @@ class TestTrainCommand:
         assert run(["train", "--features", features, "--folds", 10, "--out", out]) == 1
         assert (out / "model_metrics.json").read_text() == "earlier\n"
         assert not list(out.glob(".*.tmp"))
+
+
+def stage_commands(corpus_dir, snapshots, out):
+    """The snapshot-reading commands of a run, in pipeline order."""
+    common = ["--snapshots", snapshots, "--offers", corpus_dir / "offers.jsonl", "--seed", 4]
+    venues = ["--venues", corpus_dir / "venues.jsonl"]
+    return [
+        ["segment", *common, "--out", out],
+        ["test", *common, "--bootstraps", 99, "--out", out],
+        ["match", *common, *venues, "--n-groups", 3, "--grid-deg", 5, "--out", out],
+        ["test", *common, "--groups", out / "groups.csv", "--bootstraps", 99, "--out", out],
+        ["features", *common, *venues, "--effects", out / "effects.csv", "--out", out],
+    ]
+
+
+def run_stages(corpus_dir, snapshots, out, capsys, before_each):
+    """Exit code, stderr and every file in ``out`` but the cache after each stage command.
+
+    ``before_each(i)`` runs before command ``i``.
+    """
+    outcomes = []
+    for i, argv in enumerate(stage_commands(corpus_dir, snapshots, out)):
+        before_each(i)
+        code = run(argv)
+        err = capsys.readouterr().err
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != CACHE_NAME}
+        outcomes.append((code, err, files))
+    return outcomes
+
+
+class TestSnapshotParseCache:
+    """Whatever cache a stage command finds in ``--out``, it writes what a cold run writes.
+
+    The snapshot file carries malformed lines, so every command has warnings
+    that a cache hit must repeat.
+    """
+
+    @pytest.fixture
+    def snapshots(self, corpus_dir, tmp_path):
+        clean = (corpus_dir / "snapshots.jsonl").read_text()
+        first = json.loads(clean.splitlines()[0])
+        path = tmp_path / "snapshots.jsonl"
+        path.write_text(clean + "{broken\n" + json.dumps({**first, "ts": float("nan")}) + "\n")
+        return path
+
+    @pytest.mark.parametrize("case", ["cold", "warm", "truncated", "garbage", "other_input", "edited_in_place"])
+    def test_same_artifacts_and_warnings_as_cold_runs(self, case, corpus_dir, snapshots, tmp_path, capsys):
+        original = snapshots.read_bytes()
+        at = original.index(b"\n") + 1
+        edited = original[:at] + b"[" + original[at + 1:]  # same size; line 2 is now malformed
+
+        def content(i):
+            return edited if case == "edited_in_place" and i > 0 else original
+
+        def no_cache(i):
+            snapshots.write_bytes(content(i))
+            (tmp_path / "cold" / CACHE_NAME).unlink(missing_ok=True)
+
+        expected = run_stages(corpus_dir, snapshots, tmp_path / "cold", capsys, no_cache)
+        assert "warning: 2 malformed records skipped" in expected[0][1]
+        assert ("warning: 3 malformed records skipped" in expected[1][1]) == (case == "edited_in_place")
+
+        out, foreign = tmp_path / "case", tmp_path / "foreign"
+        assert run(["segment", "--snapshots", corpus_dir / "snapshots.jsonl",
+                    "--offers", corpus_dir / "offers.jsonl", "--out", foreign]) == 0
+        capsys.readouterr()
+        cache = out / CACHE_NAME
+
+        def prepare(i):
+            snapshots.write_bytes(content(i))
+            if case == "warm" and i == 0:
+                assert run(stage_commands(corpus_dir, snapshots, out)[0]) == 0
+                capsys.readouterr()
+            elif case == "truncated" and i > 0:
+                cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+            elif case == "garbage":
+                out.mkdir(exist_ok=True)
+                cache.write_bytes(np.random.default_rng(i).bytes(4096))
+            elif case == "other_input":
+                out.mkdir(exist_ok=True)
+                cache.write_bytes((foreign / CACHE_NAME).read_bytes())
+
+        got = run_stages(corpus_dir, snapshots, out, capsys, prepare)
+        for code, err, _ in got:
+            assert code == 0 and "Traceback" not in err
+        assert got == expected
+        assert cache.is_file()
+
+    def test_warm_cache_loads_once_and_parses_nothing(self, corpus_dir, tmp_path, monkeypatch):
+        """The benchmark counts snapshot parses through these two names."""
+        calls, reads = collections.Counter(), []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_corpus", counted("load_corpus", cli.load_corpus))
+        monkeypatch.setattr(pipeline, "parse_snapshots", counted("parse_snapshots", pipeline.parse_snapshots))
+        monkeypatch.setattr(cli, "read_lines", lambda path: reads.append(path) or read_lines(path))
+        snapshots = corpus_dir / "snapshots.jsonl"
+        segment, test = stage_commands(corpus_dir, snapshots, tmp_path / "run")[:2]
+        assert run(segment) == 0
+        assert (calls["load_corpus"], calls["parse_snapshots"]) == (1, 1) and snapshots in reads
+        calls.clear()
+        reads.clear()
+        assert run(test) == 0
+        assert (calls["load_corpus"], calls["parse_snapshots"]) == (1, 0) and snapshots not in reads

@@ -249,6 +249,26 @@ class TestIncreaseFraction:
         assert 0.0 <= f.ci_low <= f.fraction <= f.ci_high <= 1.0
         assert f.ci_high > f.ci_low
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+                 min_size=2, max_size=25),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_grouped_interval_in_range(self, hits_per_group, seed):
+        results, groups = [], []
+        for gid, (hits, n) in enumerate(hits_per_group):
+            results += [result(diff=1.0)] * hits + [result(diff=-1.0)] * (n - hits)
+            groups += [gid] * n
+        f = increase_fraction(results, FractionMode.RAW_SIGN, groups=groups, rng=derive_rng(seed))
+        assert 0.0 <= f.ci_low <= f.fraction <= f.ci_high <= 1.0
+        assert f.fraction == pytest.approx(np.mean([h / n for h, n in hits_per_group]))
+        assert f.n == len(hits_per_group)
+        if len({h / n for h, n in hits_per_group}) == 1:
+            assert f.ci_high - f.ci_low < 1e-12
+        again = increase_fraction(results, FractionMode.RAW_SIGN, groups=groups, rng=derive_rng(seed))
+        assert (again.ci_low, again.ci_high) == (f.ci_low, f.ci_high)
+
 
 class TestEffectEcdf:
     def test_definition(self):
