@@ -16,6 +16,7 @@ from campaignfx.cohort import (
     effect_ecdf,
     filter_zero_activity,
     increase_fraction,
+    linear_quantiles,
     match_reference,
     parse_venues,
 )
@@ -268,6 +269,28 @@ class TestIncreaseFraction:
             assert f.ci_high - f.ci_low < 1e-12
         again = increase_fraction(results, FractionMode.RAW_SIGN, groups=groups, rng=derive_rng(seed))
         assert (again.ci_low, again.ci_high) == (f.ci_low, f.ci_high)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60)
+    | st.lists(st.floats(0, 1), min_size=1, max_size=60)
+    | st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), min_size=1, max_size=60),
+    st.lists(st.floats(0, 1) | st.sampled_from([0.0, 0.025, 0.5, 0.975, 1.0]), min_size=1, max_size=4),
+)
+def test_linear_quantiles_match_numpy_bitwise(values, qs):
+    arr = np.array(values)
+    expected = np.quantile(arr, qs)
+    got = linear_quantiles(arr, qs)
+    assert np.array(got).tobytes() == expected.tobytes()
+
+
+def test_linear_quantiles_of_bootstrap_means_match_numpy():
+    rng = derive_rng(3, "quantiles")
+    for g in (2, 3, 7, 20):
+        fractions = rng.random(g)
+        means = fractions[rng.integers(0, g, size=(4999, g))].mean(axis=1)
+        assert linear_quantiles(means, (0.025, 0.975)) == np.quantile(means, [0.025, 0.975]).tolist()
 
 
 class TestEffectEcdf:
