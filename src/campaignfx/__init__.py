@@ -54,8 +54,6 @@ from .learn import (
     cross_validate,
     feature_auc,
     mann_whitney,
-    out_of_sample_eval,
-    rms_probability_gap,
 )
 from .models import train_forest, train_logistic
 from .rng import derive_rng

@@ -166,7 +166,7 @@ def cmd_synth(args: argparse.Namespace) -> Artifacts:
         promo_fraction=args.promo_fraction,
         effect_multiplier=args.effect_multiplier,
         zero_venue_fraction=args.zero_fraction,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         poll_jitter_hours=args.jitter_hours,
         venue_prefix=args.venue_prefix,
     )

@@ -58,7 +58,6 @@ class GeoFeatures:
     area_pop: float
     competitiveness: float
     entropy: float
-    empty_neighborhood: bool = False
 
 
 @dataclass
@@ -128,12 +127,11 @@ def extract_geo_features(
     ``area_pop`` totals each neighbor's cumulative check-ins interpolated at
     the focal campaign's eve (clamped to the neighbor's observation span;
     neighbors with no snapshots contribute zero). An isolated venue gets all
-    zeros with the empty flag set.
+    zeros.
     """
     density = len(neighbors)
     if density == 0:
-        return GeoFeatures(density=0, area_pop=0.0, competitiveness=0.0, entropy=0.0,
-                           empty_neighborhood=True)
+        return GeoFeatures(density=0, area_pop=0.0, competitiveness=0.0, entropy=0.0)
     area_pop = 0.0
     type_counts = {c: 0 for c in CATEGORIES}
     for nb in sorted(neighbors, key=lambda p: p.venue_id):
@@ -156,28 +154,20 @@ def extract_geo_features(
     )
 
 
-# Fixed design-matrix layout; the CSV export uses the same order.
-VENUE_COLUMNS = (
-    ["m_b", "c_a", "loyalty", "loyalty_missing", "likes", "tips"]
-    + [f"cat_{c.value}" for c in CATEGORIES]
-)
-PROMO_COLUMNS = ["duration"] + [f"xi_{k.value}" for k in OFFER_KINDS] + ["n_s"]
-GEO_COLUMNS = ["density", "area_pop", "competitiveness", "entropy"]
-
+# Column names of each feature family.
 FEATURE_SET_COLUMNS = {
-    "F_v": VENUE_COLUMNS,
-    "F_p": PROMO_COLUMNS,
-    "F_g": GEO_COLUMNS,
+    "F_v": ["m_b", "c_a", "loyalty", "loyalty_missing", "likes", "tips"]
+    + [f"cat_{c.value}" for c in CATEGORIES],
+    "F_p": ["duration"] + [f"xi_{k.value}" for k in OFFER_KINDS] + ["n_s"],
+    "F_g": ["density", "area_pop", "competitiveness", "entropy"],
 }
 FEATURE_SET_NAMES = ("F_v", "F_p", "F_g")
 
-CSV_HEADER = (
-    ["venue_id", "start_day", "end_day", "horizon"]
-    + VENUE_COLUMNS
-    + PROMO_COLUMNS
-    + GEO_COLUMNS
-    + ["d_observed", "label"]
-)
+# Fixed design-matrix layout, the families in FEATURE_SET_NAMES order; the CSV
+# export uses the same order.
+DESIGN_COLUMNS = [c for name in FEATURE_SET_NAMES for c in FEATURE_SET_COLUMNS[name]]
+
+CSV_HEADER = ["venue_id", "start_day", "end_day", "horizon"] + DESIGN_COLUMNS + ["d_observed", "label"]
 
 
 def feature_values(fv: FeatureVector) -> dict[str, float]:
@@ -203,26 +193,31 @@ def feature_values(fv: FeatureVector) -> dict[str, float]:
     return out
 
 
-def design_matrix(
-    rows: Sequence[FeatureVector], feature_sets: Sequence[str]
-) -> tuple[np.ndarray, list[str]]:
-    """Stack the selected feature families into a design matrix."""
+_column_values = operator.itemgetter(*DESIGN_COLUMNS)
+
+
+def select_columns(feature_sets: Sequence[str]) -> tuple[list[int], list[str]]:
+    """Positions in ``DESIGN_COLUMNS`` and names of the selected families' columns.
+
+    The layout order holds whatever order ``feature_sets`` names them in.
+    """
     for name in feature_sets:
         if name not in FEATURE_SET_COLUMNS:
             raise ValueError(f"unknown feature set {name!r}")
-    columns = [c for name in FEATURE_SET_NAMES if name in feature_sets
-               for c in FEATURE_SET_COLUMNS[name]]
-    if not columns:
+    wanted = {c for name in feature_sets for c in FEATURE_SET_COLUMNS[name]}
+    idx = [j for j, c in enumerate(DESIGN_COLUMNS) if c in wanted]
+    if not idx:
         raise ValueError("at least one feature set required")
-    data = np.empty((len(rows), len(columns)), dtype=float)
-    for i, fv in enumerate(rows):
-        values = feature_values(fv)
-        for j, col in enumerate(columns):
-            data[i, j] = values[col]
-    return data, columns
+    return idx, [DESIGN_COLUMNS[j] for j in idx]
 
 
-_column_values = operator.itemgetter(*VENUE_COLUMNS, *PROMO_COLUMNS, *GEO_COLUMNS)
+def design_matrix(
+    rows: Sequence[FeatureVector], feature_sets: Sequence[str]
+) -> tuple[np.ndarray, list[str]]:
+    """Stack the selected feature families into a C-contiguous design matrix."""
+    idx, columns = select_columns(feature_sets)
+    full = np.array([_column_values(feature_values(fv)) for fv in rows], dtype=float)
+    return np.take(full.reshape(len(rows), len(DESIGN_COLUMNS)), idx, axis=1), columns
 
 
 def write_features_csv(rows: Sequence[FeatureVector]) -> str:
@@ -257,7 +252,6 @@ def _feature_row(record: dict) -> FeatureVector:
         area_pop=float(record["area_pop"]),
         competitiveness=float(record["competitiveness"]),
         entropy=float(record["entropy"]),
-        empty_neighborhood=float(record["density"]) == 0.0,
     )
     return FeatureVector(
         venue_id=record["venue_id"],

@@ -18,7 +18,7 @@ import numpy as np
 
 from .effect import EffectLabel
 from .errors import DegenerateSample, EmptyEvalSet, TooFewRows
-from .features import FeatureVector, design_matrix
+from .features import DESIGN_COLUMNS, FEATURE_SET_NAMES, FeatureVector, design_matrix, select_columns
 from .models import train_forest, train_logistic
 from .rng import derive_rng
 
@@ -31,16 +31,45 @@ NEGATIVE_LABELS = (EffectLabel.SIGNIFICANT_DECREASE, EffectLabel.POWERED_NULL)
 
 @dataclass
 class Dataset:
-    """Training rows: significant outcomes only, positives vs negatives."""
+    """Labelled rows and their full design matrix, built once (``DESIGN_COLUMNS`` layout)."""
 
     rows: list[FeatureVector]
     y: np.ndarray
+    X: np.ndarray
+
+    @classmethod
+    def _labelled(cls, rows: list[FeatureVector], labels: list[bool]) -> "Dataset":
+        X, _ = design_matrix(rows, FEATURE_SET_NAMES)
+        return cls(rows=rows, y=np.array(labels, dtype=float), X=X)
 
     @classmethod
     def from_rows(cls, rows: Sequence[FeatureVector]) -> "Dataset":
+        """Training rows: significant outcomes only, positives vs negatives."""
         usable = [r for r in rows if r.label is POSITIVE_LABEL or r.label in NEGATIVE_LABELS]
-        y = np.array([1.0 if r.label is POSITIVE_LABEL else 0.0 for r in usable])
-        return cls(rows=list(usable), y=y)
+        return cls._labelled(usable, [r.label is POSITIVE_LABEL for r in usable])
+
+    @classmethod
+    def out_of_sample(cls, rows: Sequence[FeatureVector]) -> "Dataset":
+        """Inconclusive rows labelled by the sign of their observed effect size.
+
+        Rows with undefined or exactly zero effect size are excluded; an empty
+        remainder raises ``EmptyEvalSet``.
+        """
+        usable = [r for r in rows if r.label is EffectLabel.INCONCLUSIVE
+                  and r.d_observed is not None and r.d_observed != 0.0]
+        if not usable:
+            raise EmptyEvalSet("no inconclusive rows with a signed effect size")
+        return cls._labelled(usable, [r.d_observed > 0 for r in usable])
+
+    def matrix(self, feature_sets: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+        """``design_matrix(self.rows, feature_sets)``, taken column-wise from ``X``."""
+        idx, columns = select_columns(feature_sets)
+        # np.take returns a C-contiguous copy; X[:, idx] would be F-ordered,
+        # and the fits' floating-point results depend on the layout
+        return np.take(self.X, idx, axis=1), columns
+
+    def column(self, name: str) -> np.ndarray:
+        return self.X[:, DESIGN_COLUMNS.index(name)]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -147,7 +176,7 @@ class Metrics:
     auc: float
 
 
-def _metrics_from_scores(y: np.ndarray, scores: np.ndarray) -> Metrics:
+def metrics_from_scores(y: np.ndarray, scores: np.ndarray) -> Metrics:
     pred = scores >= 0.5
     actual = y >= 0.5
     accuracy = float(np.mean(pred == actual))
@@ -166,35 +195,13 @@ def _metrics_from_scores(y: np.ndarray, scores: np.ndarray) -> Metrics:
     return Metrics(accuracy=accuracy, f_measure=f_measure, auc=auc)
 
 
-@dataclass
-class FittedModel:
-    kind: str  # "logistic" | "forest"
-    feature_sets: tuple[str, ...]
-    inner: object
-
-    def score_rows(self, rows: Sequence[FeatureVector]) -> np.ndarray:
-        X, _ = design_matrix(rows, self.feature_sets)
-        return self.inner.predict_proba(X)
-
-
-def _fit(X: np.ndarray, y: np.ndarray, kind: str, feature_sets: Sequence[str], seed: int) -> object:
+def train_model(X: np.ndarray, y: np.ndarray, kind: str, feature_sets: Sequence[str], seed: int):
+    """Fit a ``"logistic"`` or ``"forest"`` model on the ``feature_sets`` columns ``X``."""
     if kind == "logistic":
         return train_logistic(X, y)
     if kind == "forest":
         return train_forest(X, y, derive_rng(seed, "forest", *feature_sets))
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def train_model(
-    rows: Sequence[FeatureVector],
-    y: np.ndarray,
-    kind: str,
-    feature_sets: Sequence[str],
-    seed: int,
-) -> FittedModel:
-    X, _ = design_matrix(rows, feature_sets)
-    inner = _fit(X, y, kind, feature_sets, seed)
-    return FittedModel(kind=kind, feature_sets=tuple(feature_sets), inner=inner)
 
 
 @dataclass
@@ -233,7 +240,7 @@ def cross_validate(
     if len(ds) < k:
         raise TooFewRows(f"{len(ds)} rows < {k} folds")
     fold_of = stratified_folds(ds.y, k, derive_rng(seed, "folds", kind, *feature_sets))
-    X, columns = design_matrix(ds.rows, feature_sets)
+    X, columns = ds.matrix(feature_sets)
     scores = np.empty(len(ds))
     models = []
     for fold in range(k):
@@ -241,41 +248,19 @@ def cross_validate(
         train_idx = np.flatnonzero(fold_of != fold)
         if len(test_idx) == 0:
             continue
-        model = _fit(
+        model = train_model(
             X[train_idx], ds.y[train_idx], kind, feature_sets,
             derive_rng(seed, "fold-seed", fold).integers(2**32),
         )
         scores[test_idx] = model.predict_proba(X[test_idx])
         models.append(model)
-    return CvResult(metrics=_metrics_from_scores(ds.y, scores), scores=scores, fold_of=fold_of,
+    return CvResult(metrics=metrics_from_scores(ds.y, scores), scores=scores, fold_of=fold_of,
                     columns=columns, models=models)
 
 
-def out_of_sample_eval(model: FittedModel, rows: Sequence[FeatureVector]) -> Metrics:
-    """Score inconclusive campaigns, labelled by the sign of observed d.
-
-    Rows with undefined or exactly zero effect size are excluded; an empty
-    remainder raises ``EmptyEvalSet``.
-    """
-    usable = [r for r in rows if r.d_observed is not None and r.d_observed != 0.0]
-    if not usable:
-        raise EmptyEvalSet("no rows with a signed effect size")
-    y = np.array([1.0 if r.d_observed > 0 else 0.0 for r in usable])
-    scores = model.score_rows(usable)
-    return _metrics_from_scores(y, scores)
-
-
 def rms_gap(scores_a: np.ndarray, scores_b: np.ndarray) -> float:
+    """Root-mean-square distance between two models' probability outputs."""
     if len(scores_a) == 0:
         raise EmptyEvalSet("no scores to compare")
     diff = np.asarray(scores_a, dtype=float) - np.asarray(scores_b, dtype=float)
     return float(np.sqrt(np.mean(diff**2)))
-
-
-def rms_probability_gap(
-    model_a: FittedModel, model_b: FittedModel, rows: Sequence[FeatureVector]
-) -> float:
-    """Root-mean-square distance between two models' probability outputs."""
-    if not rows:
-        raise EmptyEvalSet("no rows to compare")
-    return rms_gap(model_a.score_rows(rows), model_b.score_rows(rows))

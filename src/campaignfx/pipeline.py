@@ -1,12 +1,16 @@
 """End-to-end stage wiring shared by the CLI and the test harnesses.
 
-Stages are pure functions over an in-memory corpus; every randomized step
-derives its RNG stream from the run seed plus stable identifiers, so results
-do not depend on execution order or the number of worker processes.
+Stages are functions over an in-memory corpus; their only side effect is a
+warning on stderr about reference windows that cannot be segmented. Every
+randomized step derives its RNG stream from the run seed plus stable
+identifiers, so results do not depend on execution order or the number of
+worker processes.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -212,17 +216,25 @@ def _segment_windows(
     windows: Sequence[tuple[str, int, int, Optional[int]]],
     config: RunConfig,
 ) -> list[tuple[str, Optional[int], SegmentedSeries]]:
-    """Segment each ``(venue_id, start_day, end_day, group_id)`` window; skip those that cannot be."""
+    """Segment each ``(venue_id, start_day, end_day, group_id)`` window.
+
+    Windows that cannot be segmented are skipped, with one warning on stderr
+    per reason.
+    """
     segmented = []
+    skipped: dict[str, list[str]] = defaultdict(list)
     for venue_id, start_day, end_day, group_id in windows:
         s = corpus.series.get(venue_id)
-        if s is None:
-            continue
         try:
+            if s is None:
+                raise InsufficientData("venue has no usable daily series")
             seg = segment(s, start_day, end_day, k=config.k, w_max=config.w_max, min_duration=config.min_duration)
-        except (IneligibleCampaign, InsufficientData):
+        except (IneligibleCampaign, InsufficientData) as exc:
+            skipped[str(exc)].append(f"{venue_id} days {start_day}-{end_day}")
             continue
         segmented.append((venue_id, group_id, seg))
+    for why, which in skipped.items():
+        print(f"warning: {len(which)} reference windows skipped: {why} (first: {which[0]})", file=sys.stderr)
     return segmented
 
 

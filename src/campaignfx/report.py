@@ -16,19 +16,9 @@ from typing import Optional, Sequence
 from .cohort import CATEGORIES, FractionMode, VenueProfile, effect_ecdf, increase_fraction
 from .config import RunConfig
 from .effect import EffectLabel, Horizon
-from .errors import EmptyDenominator, SingularFit, TooFewRows
-from .features import FeatureVector, feature_values
-from .learn import (
-    Dataset,
-    NEGATIVE_LABELS,
-    POSITIVE_LABEL,
-    cross_validate,
-    mann_whitney,
-    out_of_sample_eval,
-    rms_gap,
-    rms_probability_gap,
-    train_model,
-)
+from .errors import EmptyDenominator, EmptyEvalSet, SingularFit, TooFewRows
+from .features import FeatureVector
+from .learn import Dataset, cross_validate, mann_whitney, metrics_from_scores, rms_gap, train_model
 from .pipeline import CampaignEffect, _horizons
 from .rng import derive_rng
 from .series import csv_text
@@ -128,21 +118,15 @@ def feature_auc_table(rows: Sequence[FeatureVector]) -> list[dict]:
 
     The AUC is ``U / (n_pos * n_neg)``, the expression ``feature_auc`` returns.
     """
-    classes = {}  # horizon -> (positive, negative) feature values, one dict per row
-    for horizon in Horizon:
-        in_horizon = [r for r in rows if r.horizon is horizon]
-        classes[horizon] = (
-            [feature_values(r) for r in in_horizon if r.label is POSITIVE_LABEL],
-            [feature_values(r) for r in in_horizon if r.label in NEGATIVE_LABELS],
-        )
+    datasets = {h: Dataset.from_rows([r for r in rows if r.horizon is h]) for h in Horizon}
     out = []
     for feature in TABLE_FEATURES:
         record: dict = {"feature": feature}
         for horizon, suffix in ((Horizon.SHORT_TERM, "short"), (Horizon.LONG_TERM, "long")):
-            positives, negatives = classes[horizon]
-            pos = [values[feature] for values in positives]
-            neg = [values[feature] for values in negatives]
-            if pos and neg:
+            ds = datasets[horizon]
+            values = ds.column(feature)
+            pos, neg = values[ds.y == 1.0], values[ds.y == 0.0]
+            if len(pos) and len(neg):
                 mw = mann_whitney(pos, neg)
                 record[f"auc_{suffix}"] = mw.u / (len(pos) * len(neg))
                 record[f"p_{suffix}"] = mw.p_value
@@ -173,8 +157,6 @@ def train_models(
         if not h_rows:
             continue
         ds = Dataset.from_rows(h_rows)
-        inconclusive = [r for r in h_rows if r.label is EffectLabel.INCONCLUSIVE]
-        eval_rows = [r for r in inconclusive if r.d_observed is not None and r.d_observed != 0.0]
         if len(ds) < config.folds:
             raise TooFewRows(
                 f"{len(ds)} labelled rows for {_horizon_key(horizon)} < {config.folds} folds"
@@ -184,8 +166,12 @@ def train_models(
                 f"{_horizon_key(horizon)}: need at least 2 rows per class "
                 f"(got {ds.n_positive} positive, {ds.n_negative} negative)"
             )
+        try:
+            evals: Optional[Dataset] = Dataset.out_of_sample(h_rows)
+        except EmptyEvalSet:
+            evals = None
         cv_scores: dict = {}
-        full_logistic: dict = {}
+        eval_scores: dict = {}
         for kind in MODEL_KINDS:
             for combo in FEATURE_SET_COMBOS:
                 record = {
@@ -206,29 +192,27 @@ def train_models(
                     continue
                 record["metrics"] = asdict(cv.metrics)
                 fits = list(cv.models)
-                if eval_rows:
-                    model = train_model(ds.rows, ds.y, kind, combo, seed=config.seed)
-                    fits.append(model.inner)
+                if evals is not None:
+                    model = train_model(ds.matrix(combo)[0], ds.y, kind, combo, config.seed)
+                    fits.append(model)
+                    scores = model.predict_proba(evals.matrix(combo)[0])
                     record["out_of_sample"] = {
-                        "metrics": asdict(out_of_sample_eval(model, eval_rows)),
-                        "n_rows": len(eval_rows),
+                        "metrics": asdict(metrics_from_scores(evals.y, scores)),
+                        "n_rows": len(evals),
                     }
                 if kind == "logistic":
                     cv_scores[combo] = cv.scores
-                    if eval_rows:
-                        full_logistic[combo] = model
+                    if evals is not None:
+                        eval_scores[combo] = scores
                     record["dropped_columns"] = sorted(
                         {cv.columns[j] for fit in fits for j in fit.dropped})
                     record["not_converged"] = sum(not fit.converged for fit in fits)
                 metrics_records.append(record)
 
         pair_a, pair_b = RMS_PAIR
-        if pair_a in cv_scores and pair_b in cv_scores:
-            rms_gaps["cv"][_horizon_key(horizon)] = rms_gap(cv_scores[pair_a], cv_scores[pair_b])
-        if pair_a in full_logistic and pair_b in full_logistic:
-            rms_gaps["out_of_sample"][_horizon_key(horizon)] = rms_probability_gap(
-                full_logistic[pair_a], full_logistic[pair_b], eval_rows
-            )
+        for key, scores_of in (("cv", cv_scores), ("out_of_sample", eval_scores)):
+            if pair_a in scores_of and pair_b in scores_of:
+                rms_gaps[key][_horizon_key(horizon)] = rms_gap(scores_of[pair_a], scores_of[pair_b])
     return metrics_records, rms_gaps
 
 

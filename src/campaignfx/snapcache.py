@@ -8,13 +8,15 @@ instead of reading and parsing the snapshots again.
 The key is a SHA-256 over the snapshot file's bytes, the source of this
 module (the line reader) and of ``series`` (the parser), the text encoding
 lines are decoded with, and the Python and numpy versions the parse ran on.
-A cache that is missing, stale, truncated or unreadable is a miss, never an
-error. The file is the 32 key bytes, then two ``.npy`` arrays, neither
-pickled: the ``(5, M)`` float64 column block and, as uint8, one JSON
-document holding the venue ids in parse order, their bounds in the block,
-the parse errors and the duplicate count. It is UTF-8 with surrogates passed
+A cache that is missing, stale, truncated, damaged or unreadable is a miss,
+never an error. The file is the 32 key bytes, a 32-byte SHA-256 of the
+payload, then the payload: two ``.npy`` arrays, neither pickled, the
+``(5, M)`` float64 column block and, as uint8, one JSON document holding
+the venue ids in parse order, their bounds in the block, the parse errors
+and the duplicate count. The document is UTF-8 with surrogates passed
 through, so every Python string survives; a ``<U`` array would drop
-trailing NULs.
+trailing NULs. The payload digest covers the block's and the document's
+bytes, so a byte damaged in either is a miss, not a different parse.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ def cache_key(snapshots: Path) -> bytes:
     return key.digest()
 
 
+def _payload_digest(columns: np.ndarray, text: bytes) -> bytes:
+    """SHA-256 of the column block, read in place, then of the JSON document."""
+    digest = hashlib.sha256(np.ascontiguousarray(columns).data)
+    digest.update(text)
+    return digest.digest()
+
+
 def write_cache(f: BinaryIO, key: bytes, report: ParseReport) -> None:
     """Write ``report`` under ``key`` to ``f``; the column block goes out without a copy."""
     bounds = np.cumsum([0, *map(len, report.readings.values())]).tolist()
@@ -68,9 +77,10 @@ def write_cache(f: BinaryIO, key: bytes, report: ParseReport) -> None:
         "errors": [[e.line_no, e.message] for e in report.errors],
         "duplicate_timestamps": report.duplicate_timestamps,
     }
-    f.write(key)
-    np.save(f, report.columns, allow_pickle=False)
     text = json.dumps(meta, ensure_ascii=False).encode("utf-8", "surrogatepass")
+    f.write(key)
+    f.write(_payload_digest(report.columns, text))
+    np.save(f, report.columns, allow_pickle=False)
     np.save(f, np.frombuffer(text, dtype=np.uint8), allow_pickle=False)
 
 
@@ -81,8 +91,12 @@ def load_cache(path: Path, key: bytes) -> Optional[ParseReport]:
         with path.open("rb") as f:
             if f.read(len(key)) != key:
                 return None
+            digest = f.read(hashlib.sha256().digest_size)
             columns = read(f, allow_pickle=False)
-            meta = json.loads(read(f, allow_pickle=False).tobytes().decode("utf-8", "surrogatepass"))
+            text = read(f, allow_pickle=False).tobytes()
+        if _payload_digest(columns, text) != digest:
+            return None
+        meta = json.loads(text.decode("utf-8", "surrogatepass"))
         venues, bounds = meta["venues"], meta["bounds"]
         if columns.dtype != np.float64 or columns.shape != (5, bounds[-1]) or len(bounds) != len(venues) + 1:
             return None

@@ -3,6 +3,7 @@ import csv
 import inspect
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,24 @@ class TestPipelineCommands:
         assert (out / "effects.csv").read_bytes() == effects
         rows = (out / "reference_effects.csv").read_text().splitlines()
         assert len(rows) > 1 and all(row.split(",")[0] for row in rows[1:])
+
+    def test_skipped_reference_windows_are_counted(self, corpus_dir, stage_dir, tmp_path, capsys):
+        """Groups matched at the default --k, tested at a longer one: the short histories are named."""
+        common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl",
+                  "--groups", stage_dir / "groups.csv", "--bootstraps", 99, "--horizon", "short"]
+
+        def tested(out):
+            return len((out / "reference_effects.csv").read_text().splitlines()) - 1
+
+        assert run(["test", *common, "--out", tmp_path / "default"]) == 0
+        assert "skipped" not in capsys.readouterr().err
+        assert run(["test", *common, "--k", 60, "--out", tmp_path / "longer"]) == 0
+        err = capsys.readouterr().err
+        warned = re.fullmatch(
+            r"warning: (\d+) reference windows skipped: ShortHistory \(first: \S+ days \d+-\d+\)\n", err)
+        assert warned, err
+        # one short-term test per window
+        assert tested(tmp_path / "longer") == tested(tmp_path / "default") - int(warned[1]) > 0
 
     def test_failing_command_keeps_earlier_artifacts(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
@@ -503,6 +522,26 @@ def run_stages(corpus_dir, snapshots, out, capsys, before_each):
     return outcomes
 
 
+def flip_payload_bit(cache: bytes, where: str) -> bytes:
+    """``cache`` with one bit flipped in the column block or in the JSON document.
+
+    In the block, the last poll's timestamp grows by 2**256, so a cache that
+    loaded it would warn about a venue spanning too many days; in the
+    document, the first venue id's first character changes.
+    """
+    f = io.BytesIO(cache)
+    f.seek(64)  # key and payload digest
+    assert np.lib.format.read_magic(f) == (1, 0)
+    (_, n_polls), _, _ = np.lib.format.read_array_header_1_0(f)
+    if where == "block":
+        at, bit = f.tell() + 8 * (n_polls - 1) + 7, 0x10  # the exponent's high byte
+    else:
+        at, bit = cache.rindex(b'{"venues": ["') + 13, 0x40
+    damaged = bytearray(cache)
+    damaged[at] ^= bit
+    return bytes(damaged)
+
+
 class TestSnapshotParseCache:
     """Whatever cache a stage command finds in ``--out``, it writes what a cold run writes.
 
@@ -518,7 +557,8 @@ class TestSnapshotParseCache:
         path.write_text(clean + "{broken\n" + json.dumps({**first, "ts": float("nan")}) + "\n")
         return path
 
-    @pytest.mark.parametrize("case", ["cold", "warm", "truncated", "garbage", "other_input", "edited_in_place"])
+    @pytest.mark.parametrize("case", ["cold", "warm", "truncated", "garbage", "other_input", "edited_in_place",
+                                      "block_flipped", "document_flipped"])
     def test_same_artifacts_and_warnings_as_cold_runs(self, case, corpus_dir, snapshots, tmp_path, capsys):
         original = snapshots.read_bytes()
         at = original.index(b"\n") + 1
@@ -548,6 +588,8 @@ class TestSnapshotParseCache:
                 capsys.readouterr()
             elif case == "truncated" and i > 0:
                 cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+            elif case.endswith("_flipped") and i > 0:
+                cache.write_bytes(flip_payload_bit(cache.read_bytes(), case.removesuffix("_flipped")))
             elif case == "garbage":
                 out.mkdir(exist_ok=True)
                 cache.write_bytes(np.random.default_rng(i).bytes(4096))

