@@ -66,7 +66,7 @@ def main():
 
     report = json.loads((out / "report.json").read_text())
     print("\n--- headline numbers ---")
-    print(f"campaigns tested: {report['cohort_summary']['n_promotion_tests']}")
+    print(f"promotion tests (one per campaign window and horizon): {report['cohort_summary']['n_promotion_tests']}")
     for horizon, tables in report["effect_tables"].items():
         promo = tables.get("promotion", {}).get("significant_only")
         ref = tables.get("reference", {}).get("significant_only")

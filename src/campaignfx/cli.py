@@ -193,13 +193,14 @@ def cmd_segment(args: argparse.Namespace) -> Artifacts:
 def cmd_test(args: argparse.Namespace) -> Artifacts:
     config, corpus, eligibility, artifacts = _stage_inputs(args)
     if args.groups is not None:
-        groups = _read_table(args.groups, read_groups_csv)
-        effects = reference_test_stage(corpus, groups, config)
-        print(f"tested {len(effects)} reference windows")
-        return artifacts | {"reference_effects.csv": write_effects_csv(effects)}
-    effects = test_stage(corpus, eligibility, config)
-    print(f"tested {len(effects)} campaign windows")
-    return artifacts | {"effects.csv": write_effects_csv(effects)}
+        effects = reference_test_stage(corpus, _read_table(args.groups, read_groups_csv), config)
+        kind, name = "reference", "reference_effects.csv"
+    else:
+        effects = test_stage(corpus, eligibility, config)
+        kind, name = "campaign", "effects.csv"
+    windows = len({(e.group_id, e.venue_id, e.start_day) for e in effects})  # one test per window and horizon
+    print(f"tested {windows} {kind} windows ({len(effects)} tests)")
+    return artifacts | {name: write_effects_csv(effects)}
 
 
 def cmd_match(args: argparse.Namespace) -> Artifacts:

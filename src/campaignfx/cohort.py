@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .effect import EffectLabel, EffectResult
+from .effect import EffectLabel, EffectResult, linear_quantiles
 from .errors import EmptyDenominator, IneligibleCampaign
 from .rng import derive_rng
 from .series import BEFORE_DAYS, MIN_CAMPAIGN_DAYS, DailySeries, ParseError, parse_records, segment
@@ -250,25 +250,6 @@ _COUNTED_LABELS = (
 
 
 FRACTION_BOOTSTRAPS = 4999  # resamples of the group fractions behind a grouped interval
-
-
-def linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
-    """``np.quantile(values, qs)`` of finite ``values`` (its default linear method), bit for bit.
-
-    ``np.quantile`` calls ``np.unique``, whose first call imports
-    ``numpy.ma``: ~15 ms of a fresh ``report`` process, for two order
-    statistics.
-    """
-    ordered = np.sort(values)
-    last = len(ordered) - 1
-    out = []
-    for q in qs:
-        g = last * q
-        lo = min(int(g), last)
-        a, b = float(ordered[lo]), float(ordered[min(lo + 1, last)])
-        t, d = g - lo, b - a
-        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)  # numpy's two-sided lerp
-    return out
 
 
 @dataclass

@@ -3,11 +3,16 @@ import csv
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import campaignfx
 from campaignfx import cli, pipeline
 from campaignfx.campaign import eligible_campaigns
 from campaignfx.cli import main
@@ -196,6 +201,33 @@ class TestPipelineCommands:
         assert warned, err
         # one short-term test per window
         assert tested(tmp_path / "longer") == tested(tmp_path / "default") - int(warned[1]) > 0
+
+    def test_tested_counts_windows_and_tests(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl",
+                  "--bootstraps", 99, "--seed", 4, "--out", out]
+        assert run(["test", *common]) == 0
+        printed = capsys.readouterr().out
+        assert run(["match", *common, "--venues", corpus_dir / "venues.jsonl", "--n-groups", 3, "--grid-deg", 5]) == 0
+        capsys.readouterr()
+        assert run(["test", *common, "--groups", out / "groups.csv"]) == 0
+        printed += capsys.readouterr().out
+        for kind, name in (("campaign", "effects.csv"), ("reference", "reference_effects.csv")):
+            rows = list(csv.DictReader(io.StringIO((out / name).read_text())))
+            windows = {(r["group_id"], r["venue_id"], r["start_day"]) for r in rows}
+            assert len(rows) > len(windows) > 0  # some windows are tested at both horizons
+            assert f"tested {len(windows)} {kind} windows ({len(rows)} tests)\n" in printed
+
+    def test_test_command_leaves_numpy_ma_unimported(self, corpus_dir, tmp_path):
+        """``np.quantile`` imports ``numpy.ma`` on its first call; the bootstrap's quantiles do not."""
+        code = "import sys; from campaignfx.cli import main; main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+        argv = ["test", "--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl",
+                "--bootstraps", 99, "--jobs", 1, "--out", tmp_path]
+        src = str(Path(campaignfx.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_failing_command_keeps_earlier_artifacts(self, corpus_dir, tmp_path):
         out = tmp_path / "run"

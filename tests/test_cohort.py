@@ -16,11 +16,10 @@ from campaignfx.cohort import (
     effect_ecdf,
     filter_zero_activity,
     increase_fraction,
-    linear_quantiles,
     match_reference,
     parse_venues,
 )
-from campaignfx.effect import EffectLabel, EffectResult, Horizon
+from campaignfx.effect import EffectLabel, EffectResult, Horizon, linear_quantiles
 from campaignfx.errors import EmptyDenominator
 from campaignfx.geo import haversine_miles
 from campaignfx.rng import derive_rng
@@ -271,11 +270,19 @@ class TestIncreaseFraction:
         assert (again.ci_low, again.ci_high) == (f.ci_low, f.ci_high)
 
 
+def signed_zeros(length_and_seed):
+    """Ties and zeros of both signs; sorting and numpy's partition order -0.0 and +0.0 differently."""
+    length, seed = length_and_seed
+    return derive_rng(seed, "signed-zeros").choice([-0.0, 0.0, -0.0, 0.5, -1.0], length)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60)
     | st.lists(st.floats(0, 1), min_size=1, max_size=60)
-    | st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), min_size=1, max_size=60),
+    | st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), min_size=1, max_size=60)
+    | st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=1, max_size=60)
+    | st.tuples(st.integers(1, 5000), st.integers(0, 2**32)).map(signed_zeros),
     st.lists(st.floats(0, 1) | st.sampled_from([0.0, 0.025, 0.5, 0.975, 1.0]), min_size=1, max_size=4),
 )
 def test_linear_quantiles_match_numpy_bitwise(values, qs):

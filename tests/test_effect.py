@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from campaignfx.effect import (
+    RESAMPLE_CHUNK_ROWS,
     EffectLabel,
     Horizon,
     TestConfig,
@@ -319,3 +321,44 @@ class TestBootstrapKernel:
         means = _resample_means(x, block_len, n_draws, derive_rng(seed))
         reference = x[_resample_indices(len(x), block_len, n_draws, derive_rng(seed))].mean(axis=1)
         assert np.max(np.abs(means - reference)) <= 1e-12
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(1, 80).flatmap(lambda n: st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)),
+        st.integers(1, 5),
+        st.sampled_from([1, RESAMPLE_CHUNK_ROWS - 1, RESAMPLE_CHUNK_ROWS, RESAMPLE_CHUNK_ROWS + 1, 4999]),
+        st.integers(0, 2**32),
+    )
+    @example([3.0], 2, RESAMPLE_CHUNK_ROWS + 1, 0)  # block_len > n: one start
+    @example([1.0, -2.0, 4.0], 3, RESAMPLE_CHUNK_ROWS, 1)  # block_len == n: one start
+    @example([float(i) for i in range(79)], 5, 4999, 2)  # odd n with a tail block
+    @example([float(i) for i in range(80)], 3, RESAMPLE_CHUNK_ROWS - 1, 3)  # even n with a tail block
+    def test_chunked_means_equal_one_shot_bitwise(self, values, block_len, n_draws, seed):
+        # the previous one-shot formulation: one gather and row sum over the whole start matrix
+        x = np.asarray(values)
+        n = len(x)
+        length = min(block_len, n)
+        n_starts = n - length + 1
+        full, tail = divmod(n, length)
+        cum = np.concatenate([[0.0], np.cumsum(x)])
+        block_sums = cum[length:] - cum[:-length]
+        starts = derive_rng(seed).integers(0, n_starts, size=(n_draws, full + (1 if tail else 0)))
+        totals = block_sums[starts[:, :full]].sum(axis=1)
+        if tail:
+            totals += (cum[tail : n_starts + tail] - cum[:n_starts])[starts[:, full]]
+        expected = totals / n
+        assert _resample_means(x, block_len, n_draws, derive_rng(seed)).tobytes() == expected.tobytes()
+
+
+def test_warm_window_peak_memory():
+    """One 28x14 window at the default 4999 draws allocates nothing as large as its start matrix but the matrix."""
+    data = derive_rng(0, "peak").poisson(6.0, size=42).astype(float)
+    evaluate_effect(data[:28], data[28:], Horizon.LONG_TERM, TestConfig(), derive_rng(1))
+    tracemalloc.start()
+    try:
+        evaluate_effect(data[:28], data[28:], Horizon.LONG_TERM, TestConfig(), derive_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 0.56 MB start matrix plus one chunk; gathering all draws at once peaked at 1.2 MB
+    assert peak < 900_000
