@@ -18,6 +18,7 @@ from .series import (
     SegmentedSeries,
     parse_records,
     parse_timestamp,
+    record_id,
     segment,
 )
 
@@ -94,8 +95,8 @@ def _offer(obj: dict) -> RawOffer:
     except ValueError:
         raise ValueError(f"unknown offer type {kind_name!r}") from None
     offer = RawOffer(
-        venue_id=str(obj["venue_id"]),
-        special_id=str(obj["special_id"]),
+        venue_id=record_id(obj["venue_id"], "venue_id"),
+        special_id=record_id(obj["special_id"], "special_id"),
         kind=kind,
         start_ts=parse_timestamp(obj["start"]),
         end_ts=parse_timestamp(obj["end"]),

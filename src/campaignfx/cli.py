@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Optional, Sequence
 
 from .campaign import EligibilityReport, offer_stats
 from .cohort import parse_venues
@@ -106,12 +106,21 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return build_run_config(file_text=file_text, overrides=overrides)
 
 
-def _read_table(path: Path, reader: Callable[[str], list]) -> list:
-    """``reader`` of the artifact CSV at ``path``; a malformed table is an error naming the file."""
+def _read_table(path: Path, reader: Callable[[str], Any]) -> Any:
+    """``reader`` of the artifact at ``path``; a malformed artifact is an error naming the file."""
     try:
         return reader(path.read_text())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _model_payload(text: str) -> dict:
+    """``train``'s payload: a JSON object whose ``models`` is a list and ``rms_gaps`` an object, where present."""
+    payload = json.loads(text)
+    if not (isinstance(payload, dict) and isinstance(payload.get("models", []), list)
+            and isinstance(payload.get("rms_gaps", {}), dict)):
+        raise ValueError("expected an object with a list of models and an object of rms_gaps")
+    return payload
 
 
 def _warn_parse_errors(path: Path, errors: Sequence[ParseError]) -> None:
@@ -251,7 +260,7 @@ def cmd_report(args: argparse.Namespace) -> Artifacts:
         venue_report = parse_venues(read_lines(args.venues))
         _warn_parse_errors(args.venues, venue_report.errors)
         profiles = venue_report.profiles
-    model_payload = json.loads(args.model_metrics.read_text()) if args.model_metrics else {}
+    model_payload = _read_table(args.model_metrics, _model_payload) if args.model_metrics else {}
 
     promo_keys = {(e.venue_id, e.start_day) for e in effects}
     group_ids = {e.group_id for e in reference if e.group_id is not None}

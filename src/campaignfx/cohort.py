@@ -19,8 +19,9 @@ import numpy as np
 
 from .effect import EffectLabel, EffectResult, linear_quantiles
 from .errors import EmptyDenominator, IneligibleCampaign
+from .geo import grid_cell
 from .rng import derive_rng
-from .series import BEFORE_DAYS, MIN_CAMPAIGN_DAYS, DailySeries, ParseError, parse_records, segment
+from .series import BEFORE_DAYS, MIN_CAMPAIGN_DAYS, DailySeries, ParseError, parse_records, record_id, segment
 
 MATCH_CELL_DEG = 0.1
 N_REFERENCE_GROUPS = 20
@@ -66,7 +67,7 @@ class VenueParseReport:
 def _venue_profile(obj: dict) -> VenueProfile:
     category = Category(obj["category"])
     return VenueProfile(
-        venue_id=str(obj["venue_id"]),
+        venue_id=record_id(obj["venue_id"], "venue_id"),
         category=category,
         lat=float(obj["lat"]),
         lon=float(obj["lon"]),
@@ -111,10 +112,6 @@ class MatchReport:
     exhausted: list[PoolExhausted] = field(default_factory=list)
 
 
-def _match_cell(lat: float, lon: float, cell_deg: float) -> tuple[int, int]:
-    return (int(math.floor(lat / cell_deg)), int(math.floor(lon / cell_deg)))
-
-
 def match_reference(
     promo: Sequence[VenueProfile],
     pool: Sequence[VenueProfile],
@@ -136,7 +133,7 @@ def match_reference(
 
     buckets: dict[tuple[Category, tuple[int, int]], list[VenueProfile]] = {}
     for profile in pool:
-        key = (profile.category, _match_cell(profile.lat, profile.lon, cell_deg))
+        key = (profile.category, grid_cell(profile.lat, profile.lon, cell_deg))
         buckets.setdefault(key, []).append(profile)
     for bucket in buckets.values():
         bucket.sort(key=lambda p: p.venue_id)
@@ -161,7 +158,7 @@ def match_reference(
     for group_id in range(n_groups):
         group = ReferenceGroup(group_id=group_id)
         for venue in promo:
-            row, col = _match_cell(venue.lat, venue.lon, cell_deg)
+            row, col = grid_cell(venue.lat, venue.lon, cell_deg)
             pick = take_from([(venue.category, (row, col))])
             if pick is None:
                 ring = [

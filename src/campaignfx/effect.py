@@ -10,7 +10,9 @@ only from those null draws, shifted by the observed difference: under the same
 block starts a resample mean of the raw sample is the centered one plus the
 sample mean (Künsch, 1989), so the shifted draws are the uncentered
 (alternative-hypothesis) distribution. Power is the share of them outside the
-null critical interval; the interval is the critical interval shifted.
+null critical interval; the interval is the critical interval shifted. One
+pass of ``bootstrap_test`` returns all three; ``bootstrap_power`` and
+``evaluate_effect`` read its result.
 """
 
 from __future__ import annotations
@@ -172,42 +174,13 @@ def linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
 
 @dataclass
 class BootstrapTest:
-    """Null-hypothesis side of the test: p-value and critical interval."""
+    """One bootstrap pass: p-value, null critical interval and power."""
 
     diff: float
     p_value: float
     crit_low: float
     crit_high: float
-
-
-def _samples(before: Sequence[float], other: Sequence[float], caller: str) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(before, dtype=float)
-    b = np.asarray(other, dtype=float)
-    if len(a) < 2 or len(b) < 2:
-        raise InsufficientSample(f"{caller} needs at least 2 values per sample")
-    return a, b
-
-
-def _bootstrap(
-    a: np.ndarray, b: np.ndarray, bootstraps: int, alpha: float, block_len: int, rng: np.random.Generator
-) -> tuple[BootstrapTest, float]:
-    """One bootstrap pass: the null test and the power, from one pair of draws.
-
-    The centered resample means of ``b``, then of ``a``, give the null mean
-    differences ``deltas``. ``deltas + diff_obs`` are the uncentered
-    differences under the same block starts; power is their share outside
-    the null critical interval.
-    """
-    diff_obs = float(b.mean() - a.mean())
-    deltas = _resample_means(b - b.mean(), block_len, bootstraps, rng) - _resample_means(
-        a - a.mean(), block_len, bootstraps, rng
-    )
-    exceed = int(np.count_nonzero(np.abs(deltas) >= abs(diff_obs)))
-    p = (1 + exceed) / (bootstraps + 1)
-    crit_low, crit_high = linear_quantiles(deltas, (alpha / 2.0, 1.0 - alpha / 2.0))
-    alt = deltas + diff_obs
-    power = float(np.count_nonzero((alt < crit_low) | (alt > crit_high)) / bootstraps)
-    return BootstrapTest(diff=diff_obs, p_value=p, crit_low=crit_low, crit_high=crit_high), power
+    power: float
 
 
 def bootstrap_test(
@@ -219,16 +192,26 @@ def bootstrap_test(
     block_len: int = DEFAULT_BLOCK_LEN,
     rng: np.random.Generator,
 ) -> BootstrapTest:
-    """Two-sided block-bootstrap test of equal means.
+    """Two-sided block-bootstrap test of equal means, with its power, from one set of draws.
 
-    Each sample is centered to mean zero; ``bootstraps`` resample pairs give
-    the null distribution of the mean difference. The p-value is
-    ``(1 + #{|diff*| >= |diff_obs|}) / (bootstraps + 1)``. The critical
-    interval holds the alpha/2 and 1-alpha/2 quantiles of the null
-    differences, used downstream for the power estimate.
+    The centered resample means of ``other``, then of ``before``, give
+    ``bootstraps`` null mean differences. The p-value is
+    ``(1 + #{|diff*| >= |diff_obs|}) / (bootstraps + 1)``; the critical
+    interval holds their alpha/2 and 1-alpha/2 quantiles. Shifted by
+    ``diff_obs`` they are the uncentered differences under the same block
+    starts; power is their share outside the critical interval.
     """
-    a, b = _samples(before, other, "bootstrap_test")
-    return _bootstrap(a, b, bootstraps, alpha, block_len, rng)[0]
+    a, b = np.asarray(before, dtype=float), np.asarray(other, dtype=float)
+    if len(a) < 2 or len(b) < 2:
+        raise InsufficientSample("the bootstrap test needs at least 2 values per sample")
+    diff_obs = float(b.mean() - a.mean())
+    deltas = (_resample_means(b - b.mean(), block_len, bootstraps, rng)
+              - _resample_means(a - a.mean(), block_len, bootstraps, rng))
+    exceed = int(np.count_nonzero(np.abs(deltas) >= abs(diff_obs)))
+    crit_low, crit_high = linear_quantiles(deltas, (alpha / 2.0, 1.0 - alpha / 2.0))
+    alt = deltas + diff_obs
+    power = float(np.count_nonzero((alt < crit_low) | (alt > crit_high)) / bootstraps)
+    return BootstrapTest(diff_obs, (1 + exceed) / (bootstraps + 1), crit_low, crit_high, power)
 
 
 def bootstrap_power(
@@ -240,12 +223,8 @@ def bootstrap_power(
     block_len: int = DEFAULT_BLOCK_LEN,
     rng: np.random.Generator,
 ) -> float:
-    """Estimated power: mass of the uncentered difference distribution
-    outside the null critical interval, both from one pass of
-    :func:`bootstrap_test`'s draws.
-    """
-    a, b = _samples(before, other, "bootstrap_power")
-    return _bootstrap(a, b, bootstraps, alpha, block_len, rng)[1]
+    """The power of :func:`bootstrap_test` on the same arguments."""
+    return bootstrap_test(before, other, bootstraps=bootstraps, alpha=alpha, block_len=block_len, rng=rng).power
 
 
 def classify_effect(
@@ -280,25 +259,20 @@ def evaluate_effect(
     config: TestConfig,
     rng: np.random.Generator,
 ) -> EffectResult:
-    """Full per-campaign evaluation: test, power, effect size, and label.
-
-    Power and the reported confidence interval come from the test's own null
-    draws shifted by the observed difference; the interval is the null
-    critical interval shifted the same way.
+    """One :func:`bootstrap_test`, Cohen's d and the label of one test window; the
+    confidence interval is the test's critical interval shifted by the observed difference.
     """
-    a, b = _samples(before, other, "evaluate_effect")
-    null, power = _bootstrap(a, b, config.bootstraps, config.alpha, config.block_len, rng)
-    d = cohens_d(a, b)
-    label = classify_effect(null.p_value, power, null.diff, config.alpha, config.power_min)
-    degenerate = bool(np.all(a == a[0]) and np.all(b == b[0]))
+    test = bootstrap_test(before, other, bootstraps=config.bootstraps, alpha=config.alpha,
+                          block_len=config.block_len, rng=rng)
+    a, b = np.asarray(before, dtype=float), np.asarray(other, dtype=float)
     return EffectResult(
-        diff=null.diff,
-        cohens_d=d,
-        p_value=null.p_value,
-        power=power,
-        ci_low=null.crit_low + null.diff,
-        ci_high=null.crit_high + null.diff,
+        diff=test.diff,
+        cohens_d=cohens_d(a, b),
+        p_value=test.p_value,
+        power=test.power,
+        ci_low=test.crit_low + test.diff,
+        ci_high=test.crit_high + test.diff,
         horizon=horizon,
-        label=label,
-        degenerate=degenerate,
+        label=classify_effect(test.p_value, test.power, test.diff, config.alpha, config.power_min),
+        degenerate=bool(np.all(a == a[0]) and np.all(b == b[0])),
     )

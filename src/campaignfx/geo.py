@@ -32,6 +32,11 @@ def haversine_miles(lat1: float, lon1: float, lat2: float, lon2: float) -> float
     return 2.0 * EARTH_RADIUS_MILES * math.asin(min(1.0, math.sqrt(a)))
 
 
+def grid_cell(lat: float, lon: float, cell_deg: float) -> tuple[int, int]:
+    """(row, col) of the ``cell_deg``-sided degree square holding the point."""
+    return (int(math.floor(lat / cell_deg)), int(math.floor(lon / cell_deg)))
+
+
 class RadiusIndex(Generic[T]):
     """Grid-bucketed point set answering closed-ball radius queries.
 
@@ -48,13 +53,10 @@ class RadiusIndex(Generic[T]):
         self._cells: dict[tuple[int, int], list[T]] = {}
         self._items = list(items)
         for item in self._items:
-            self._cells.setdefault(self._cell_of(item.lat, item.lon), []).append(item)
+            self._cells.setdefault(grid_cell(item.lat, item.lon, cell_deg), []).append(item)
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def _cell_of(self, lat: float, lon: float) -> tuple[int, int]:
-        return (int(math.floor(lat / self.cell_deg)), int(math.floor(lon / self.cell_deg)))
 
     def within_radius(self, lat: float, lon: float, r_miles: float) -> list[T]:
         """All items at haversine distance <= ``r_miles`` from the point."""

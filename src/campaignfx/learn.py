@@ -208,7 +208,6 @@ def train_model(X: np.ndarray, y: np.ndarray, kind: str, feature_sets: Sequence[
 class CvResult:
     metrics: Metrics
     scores: np.ndarray  # pooled out-of-fold scores aligned with ds.rows
-    fold_of: np.ndarray
     columns: list[str]  # design-matrix column names
     models: list  # the model fitted for each fold that has test rows
 
@@ -254,8 +253,7 @@ def cross_validate(
         )
         scores[test_idx] = model.predict_proba(X[test_idx])
         models.append(model)
-    return CvResult(metrics=metrics_from_scores(ds.y, scores), scores=scores, fold_of=fold_of,
-                    columns=columns, models=models)
+    return CvResult(metrics=metrics_from_scores(ds.y, scores), scores=scores, columns=columns, models=models)
 
 
 def rms_gap(scores_a: np.ndarray, scores_b: np.ndarray) -> float:

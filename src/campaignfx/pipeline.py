@@ -405,11 +405,14 @@ def write_groups_csv(groups: Sequence[ReferenceGroup]) -> str:
 
 
 def _group_member(rec: dict) -> tuple[int, cohort_mod.ReferenceMember]:
+    start, end = rec["pseudo_start"], rec["pseudo_end"]
+    if bool(start) != bool(end):
+        raise ValueError("pseudo_start and pseudo_end must both be set or both be empty")
     return int(rec["group_id"]), cohort_mod.ReferenceMember(
         venue_id=rec["venue_id"],
         counterpart_id="",
-        pseudo_start=int(rec["pseudo_start"]) if rec["pseudo_start"] else None,
-        pseudo_end=int(rec["pseudo_end"]) if rec["pseudo_end"] else None,
+        pseudo_start=int(start) if start else None,
+        pseudo_end=int(end) if end else None,
     )
 
 

@@ -140,6 +140,13 @@ class ParseReport:
         return len(self.errors)
 
 
+def record_id(value: object, name: str) -> str:
+    """``value`` of the id field ``name``, which must be a non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty string")
+    return value
+
+
 def parse_timestamp(raw: object) -> float:
     """ISO-8601 UTC string (or epoch seconds) -> seconds since epoch."""
     if isinstance(raw, str):
@@ -289,9 +296,7 @@ def _snapshot_row(obj: dict) -> tuple[str, tuple]:
             if value < 0:
                 raise ValueError(f"{name} is negative")
         c, u, s, t, l = counters
-    if not isinstance(venue_id, str) or not venue_id:
-        raise ValueError("venue_id must be a non-empty string")
-    return venue_id, (ts, c, u, t, l)
+    return record_id(venue_id, "venue_id"), (ts, c, u, t, l)
 
 
 def parse_snapshots(lines: Iterable[str]) -> ParseReport:

@@ -31,10 +31,11 @@ def test_hook_resolves(owner_path, attr):
 
 
 def test_benchmark_imports_resolve(monkeypatch):
-    """Every name the benchmark's kernels and workloads import from the package still exists."""
+    """Every name the benchmark's kernels, workloads and spot script import from the package still exists."""
     monkeypatch.syspath_prepend(str(_PERFBENCH))
     importlib.import_module("kernels")
     importlib.import_module("workloads")
+    importlib.import_module("spot")
     from campaignfx.synth import SynthVenue
 
     # workloads.py edits polls through this row view and assigns them back

@@ -429,6 +429,37 @@ class TestMalformedArtifacts:
         self.assert_rejected(capsys, code, groups, 1)
         assert not out.exists()
 
+    @pytest.mark.parametrize("blank", ["pseudo_end", "pseudo_start"])
+    def test_groups_row_with_half_a_pseudo_window(self, corpus_dir, stage_dir, tmp_path, capsys, blank):
+        rows = list(csv.DictReader(io.StringIO((stage_dir / "groups.csv").read_text())))
+        line_no = next(i for i, row in enumerate(rows, start=2) if row["pseudo_start"])
+        rows[line_no - 2][blank] = ""
+        groups = tmp_path / "groups.csv"
+        with groups.open("w", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "ref"
+        code = run([
+            "test", "--snapshots", corpus_dir / "snapshots.jsonl",
+            "--offers", corpus_dir / "offers.jsonl", "--groups", groups, "--out", out,
+        ])
+        self.assert_rejected(capsys, code, groups, line_no)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', '{"models": {"a": 1}}', '{"models": null}',
+                                      '{"models": [], "rms_gaps": []}', '{"models": ['])
+    def test_malformed_model_metrics(self, stage_dir, tmp_path, capsys, text):
+        metrics = tmp_path / "model_metrics.json"
+        metrics.write_text(text)
+        out = tmp_path / "report"
+        code = run(["report", "--effects", stage_dir / "effects.csv", "--model-metrics", metrics, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {metrics}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def crafted_features(n=60):
     from campaignfx.campaign import OfferKind

@@ -103,6 +103,20 @@ class TestBlockResample:
         assert set(out.tolist()) <= set(sample.tolist())
 
 
+ENTRY_POINTS = {
+    "bootstrap_test": lambda a, b: bootstrap_test(a, b, rng=derive_rng(0)),
+    "bootstrap_power": lambda a, b: bootstrap_power(a, b, rng=derive_rng(0)),
+    "evaluate_effect": lambda a, b: evaluate_effect(a, b, Horizon.SHORT_TERM, TestConfig(), derive_rng(0)),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("before, other", [([1.0], [2.0, 3.0]), ([1.0, 2.0], [3.0]), ([], [])])
+def test_entry_points_need_two_values_per_sample(entry, before, other):
+    with pytest.raises(InsufficientSample):
+        ENTRY_POINTS[entry](before, other)
+
+
 class TestBootstrapTest:
     def test_identical_samples_p_one(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -280,7 +294,7 @@ class TestBootstrapKernel:
         assert res.p_value == null.p_value
         assert res.diff == null.diff
         assert (res.ci_low, res.ci_high) == (null.crit_low + null.diff, null.crit_high + null.diff)
-        assert res.power == power
+        assert res.power == power == null.power
 
     @given(
         st.sampled_from([4, 8, 16, 32, 64]),

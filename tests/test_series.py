@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from campaignfx.campaign import parse_offers
+from campaignfx.cohort import parse_venues
 from campaignfx.errors import IneligibleCampaign, InsufficientData, SpanTooLong
 from campaignfx.series import (
     MAX_GRID_DAYS,
@@ -83,6 +85,26 @@ class TestParseSnapshots:
         report = parse_snapshots(lines)
         assert report.error_count == 0
         assert list(report.readings["v1"].checkins) == [3, 5]
+
+
+ID_PARSERS = {
+    "snapshots": (parse_snapshots, json.loads(snapshot_line()), "readings"),
+    "offers": (parse_offers, {"venue_id": "v1", "special_id": "v1-s0", "type": "Loyalty",
+                              "start": "2012-12-10", "end": "2012-12-15"}, "offers"),
+    "venues": (parse_venues, {"venue_id": "v1", "category": "Food", "lat": 40.5, "lon": -79.9}, "profiles"),
+}
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("snapshots", "venue_id"), ("offers", "venue_id"), ("offers", "special_id"), ("venues", "venue_id"),
+])
+@pytest.mark.parametrize("value", [None, 12, ""])
+def test_ids_must_be_non_empty_strings(kind, field, value):
+    """All three input parsers reject an id that is not a non-empty string, with one message."""
+    parse, good, parsed = ID_PARSERS[kind]
+    report = parse([json.dumps(good), json.dumps(good | {field: value})])
+    assert len(getattr(report, parsed)) == 1
+    assert [(e.line_no, e.message) for e in report.errors] == [(2, f"{field} must be a non-empty string")]
 
 
 class TestInterpolateDaily:
