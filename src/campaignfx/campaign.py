@@ -161,10 +161,6 @@ class EligibleCampaign:
     period: PromotionPeriod
     segments: SegmentedSeries
 
-    @property
-    def long_term_eligible(self) -> bool:
-        return self.segments.long_term_eligible
-
 
 @dataclass
 class SkippedCampaign:
@@ -207,7 +203,7 @@ def eligible_campaigns(
             )
         except IneligibleCampaign as exc:
             report.skipped.append(
-                SkippedCampaign(period.venue_id, period.start_day, period.end_day, exc.reason)
+                SkippedCampaign(period.venue_id, period.start_day, period.end_day, str(exc))
             )
             continue
         report.eligible.append(EligibleCampaign(period=period, segments=segments))

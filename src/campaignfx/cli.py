@@ -115,11 +115,17 @@ def _read_table(path: Path, reader: Callable[[str], Any]) -> Any:
 
 
 def _model_payload(text: str) -> dict:
-    """``train``'s payload: a JSON object whose ``models`` is a list and ``rms_gaps`` an object, where present."""
+    """``train``'s payload: a JSON object whose ``models``, where present, is a list of objects and whose
+    ``rms_gaps``, where present, is an object of objects of numbers."""
     payload = json.loads(text)
-    if not (isinstance(payload, dict) and isinstance(payload.get("models", []), list)
-            and isinstance(payload.get("rms_gaps", {}), dict)):
-        raise ValueError("expected an object with a list of models and an object of rms_gaps")
+    if not isinstance(payload, dict):
+        raise ValueError("expected a JSON object")
+    models, gaps = payload.get("models", []), payload.get("rms_gaps", {})
+    if not (isinstance(models, list) and all(isinstance(m, dict) for m in models)):
+        raise ValueError("models must be a list of objects")
+    if not (isinstance(gaps, dict) and all(
+            isinstance(g, dict) and all(type(v) in (int, float) for v in g.values()) for g in gaps.values())):
+        raise ValueError("rms_gaps must be an object of objects of numbers")
     return payload
 
 
@@ -154,6 +160,7 @@ def _stage_inputs(
     for name, errors in corpus.parse_errors.items():
         _warn_parse_errors(getattr(args, name), errors)
     for skipped, what, why in (
+        (corpus.short_series_venues, "venues", "too few readings for a daily series"),
         (corpus.long_span_venues, "venues", f"readings span {MAX_GRID_DAYS} days or more"),
         ([o.special_id for o in corpus.unplaced_offers], "offers", "venue has no usable daily series"),
     ):
@@ -268,7 +275,7 @@ def cmd_report(args: argparse.Namespace) -> Artifacts:
         "n_venues": len(profiles) if profiles else None,
         "n_promotion_campaigns": len(promo_keys),
         "n_promotion_tests": len(effects),
-        "n_long_term_tests": sum(1 for e in effects if e.horizon.value == "LongTerm"),
+        "n_long_term_tests": sum(1 for e in effects if e.result.horizon.value == "LongTerm"),
         "n_reference_tests": len(reference),
         "n_reference_groups": len(group_ids),
         "n_degenerate_tests": sum(1 for e in effects if e.result.degenerate),

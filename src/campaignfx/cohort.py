@@ -49,7 +49,6 @@ class VenueProfile:
     category: Category
     lat: float
     lon: float
-    has_promotion: bool = False
 
     def __post_init__(self):
         if not -90.0 <= self.lat <= 90.0:
@@ -75,7 +74,7 @@ def _venue_profile(obj: dict) -> VenueProfile:
 
 
 def parse_venues(lines: Iterable[str]) -> VenueParseReport:
-    """Parse venue-profile JSONL, skipping and recording malformed lines; ``has_promotion`` stays False."""
+    """Parse venue-profile JSONL, skipping and recording malformed lines."""
     report = VenueParseReport()
     report.profiles = list(parse_records(lines, _venue_profile, report.errors))
     return report
@@ -95,23 +94,6 @@ class ReferenceGroup:
     members: list[ReferenceMember] = field(default_factory=list)
 
 
-@dataclass
-class PoolExhausted:
-    venue_id: str  # promotion venue that could not be matched
-    group_id: int
-
-
-@dataclass
-class UnfittablePeriod:
-    venue_id: str
-
-
-@dataclass
-class MatchReport:
-    groups: list[ReferenceGroup] = field(default_factory=list)
-    exhausted: list[PoolExhausted] = field(default_factory=list)
-
-
 def match_reference(
     promo: Sequence[VenueProfile],
     pool: Sequence[VenueProfile],
@@ -119,17 +101,18 @@ def match_reference(
     *,
     rng: np.random.Generator,
     cell_deg: float = MATCH_CELL_DEG,
-) -> MatchReport:
+) -> tuple[list[ReferenceGroup], int]:
     """Sample non-overlapping reference groups matched on category and cell.
 
     For every promotion venue and every group, one pool venue with the same
     category and the same 0.1-degree cell is drawn without replacement across
     all groups; when the cell is exhausted the search widens to the 3x3 cell
-    neighborhood. Slots that still cannot be filled are recorded.
+    neighborhood. Returns the groups and the number of slots that still
+    could not be filled.
     """
-    promoted = [p for p in pool if p.has_promotion]
+    promoted = {p.venue_id for p in promo}.intersection(p.venue_id for p in pool)
     if promoted:
-        raise ValueError(f"pool contains promoted venues, e.g. {promoted[0].venue_id}")
+        raise ValueError(f"pool contains promoted venues, e.g. {min(promoted)}")
 
     buckets: dict[tuple[Category, tuple[int, int]], list[VenueProfile]] = {}
     for profile in pool:
@@ -139,7 +122,8 @@ def match_reference(
         bucket.sort(key=lambda p: p.venue_id)
 
     used: set[str] = set()
-    report = MatchReport()
+    groups: list[ReferenceGroup] = []
+    exhausted = 0
 
     def take_from(keys: list[tuple[Category, tuple[int, int]]]) -> Optional[VenueProfile]:
         candidates: list[VenueProfile] = []
@@ -169,11 +153,11 @@ def match_reference(
                 ]
                 pick = take_from(ring)
             if pick is None:
-                report.exhausted.append(PoolExhausted(venue_id=venue.venue_id, group_id=group_id))
+                exhausted += 1
                 continue
             group.members.append(ReferenceMember(venue_id=pick.venue_id, counterpart_id=venue.venue_id))
-        report.groups.append(group)
-    return report
+        groups.append(group)
+    return groups, exhausted
 
 
 def assign_pseudo_periods(
@@ -183,18 +167,17 @@ def assign_pseudo_periods(
     rng: np.random.Generator,
     min_history: int = BEFORE_DAYS,
     min_duration: int = MIN_CAMPAIGN_DAYS,
-) -> tuple[ReferenceGroup, list[UnfittablePeriod]]:
+) -> tuple[ReferenceGroup, int]:
     """Draw (start, duration) pairs from the real campaigns for each member.
 
     A draw is kept when the whole window lies within the member's series
     (pseudo-windows are never truncated) and ``segment`` accepts it; others
     are retried, up to ``PSEUDO_PERIOD_MAX_ATTEMPTS`` draws. Members with no
-    fitting window are dropped and recorded.
+    fitting window are dropped; the second value returned counts them.
     """
     if not empirical_periods:
         raise ValueError("empirical_periods must be non-empty")
     kept: list[ReferenceMember] = []
-    dropped: list[UnfittablePeriod] = []
     for member in group.members:
         s = series_index.get(member.venue_id)
         assigned = None
@@ -210,27 +193,25 @@ def assign_pseudo_periods(
                     continue
                 assigned = (start, end)
                 break
-        if assigned is None:
-            dropped.append(UnfittablePeriod(venue_id=member.venue_id))
-        else:
+        if assigned is not None:
             kept.append(replace(member, pseudo_start=assigned[0], pseudo_end=assigned[1]))
-    return ReferenceGroup(group_id=group.group_id, members=kept), dropped
+    return ReferenceGroup(group_id=group.group_id, members=kept), len(group.members) - len(kept)
 
 
-def filter_zero_activity(members: Sequence, series_index: Mapping[str, DailySeries]) -> list:
-    """Drop members whose daily series is identically zero.
+def filter_zero_activity(
+    profiles: Sequence[VenueProfile], series_index: Mapping[str, DailySeries]
+) -> list[VenueProfile]:
+    """Drop venues whose daily series is identically zero.
 
     Such venues carry no usable signal (their bootstrap tests are degenerate)
-    and would pile up mass at d = 0. Members may be venue-id strings or any
-    object with a ``venue_id`` attribute; missing series are kept.
+    and would pile up mass at d = 0. Venues with no series are kept.
     """
     kept = []
-    for member in members:
-        venue_id = member if isinstance(member, str) else member.venue_id
-        s = series_index.get(venue_id)
+    for profile in profiles:
+        s = series_index.get(profile.venue_id)
         if s is not None and len(s.values) > 0 and not np.any(s.values):
             continue
-        kept.append(member)
+        kept.append(profile)
     return kept
 
 
@@ -322,13 +303,6 @@ def increase_fraction(
     return IncreaseFraction(p, low, high, n=n)
 
 
-@dataclass
-class EcdfResult:
-    points: list[tuple[float, float]]
-    n: int
-    undefined_count: int
-
-
 def ecdf_points(sorted_values: Sequence) -> list[tuple]:
     """``(value, share of values <= it)`` at each distinct value of an ascending sequence."""
     n = len(sorted_values)
@@ -338,8 +312,8 @@ def ecdf_points(sorted_values: Sequence) -> list[tuple]:
     ]
 
 
-def effect_ecdf(ds: Sequence[Optional[float]]) -> EcdfResult:
-    """Right-continuous empirical CDF points of the defined effect sizes."""
+def effect_ecdf(ds: Sequence[Optional[float]]) -> dict:
+    """Right-continuous empirical CDF ``points`` of the defined effect sizes, ``n`` and ``undefined`` counts."""
     defined = [d for d in ds if d is not None]
     values = np.sort(np.asarray(defined, dtype=float)).tolist()
-    return EcdfResult(points=ecdf_points(values), n=len(values), undefined_count=len(ds) - len(defined))
+    return {"points": ecdf_points(values), "n": len(values), "undefined": len(ds) - len(defined)}

@@ -16,12 +16,8 @@ class SpanTooLong(CampaignFxError):
 class IneligibleCampaign(CampaignFxError):
     """A campaign window fails the segmentation preconditions.
 
-    ``reason`` is one of ``"ShortHistory"`` or ``"ShortCampaign"``.
+    Its message is the reason: ``"ShortHistory"`` or ``"ShortCampaign"``.
     """
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 class InsufficientSample(CampaignFxError):

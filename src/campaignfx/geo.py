@@ -11,7 +11,6 @@ import math
 from typing import Generic, Iterable, Protocol, TypeVar
 
 EARTH_RADIUS_MILES = 3958.7613
-_MILES_PER_DEG_LAT = math.pi * EARTH_RADIUS_MILES / 180.0
 
 
 class HasLocation(Protocol):

@@ -1,7 +1,8 @@
 """End-to-end stage wiring shared by the CLI and the test harnesses.
 
-Stages are functions over an in-memory corpus; their only side effect is a
-warning on stderr about reference windows that cannot be segmented. Every
+Stages are functions over an in-memory corpus; their only side effects are
+warnings on stderr about reference windows that cannot be segmented and
+about campaigns whose venue has no profile to take features from. Every
 randomized step derives its RNG stream from the run seed plus stable
 identifiers, so results do not depend on execution order or the number of
 worker processes.
@@ -105,20 +106,12 @@ def build_corpus(
         cumulative[venue_id] = dc
         series[venue_id] = ds
     periods, unplaced = _index_offers(raw_offers, cumulative)
-    promoted = {p.venue_id for p in periods}
-    resolved_profiles = [
-        VenueProfile(
-            venue_id=p.venue_id, category=p.category, lat=p.lat, lon=p.lon,
-            has_promotion=p.venue_id in promoted,
-        )
-        for p in profiles
-    ]
     return LoadedCorpus(
         snapshots=dict(snapshots),
         cumulative=cumulative,
         series=series,
         periods=periods,
-        profiles=resolved_profiles,
+        profiles=list(profiles),
         short_series_venues=short_series,
         long_span_venues=long_span,
         unplaced_offers=unplaced,
@@ -163,7 +156,6 @@ class CampaignEffect:
     venue_id: str
     start_day: int
     end_day: int
-    horizon: Horizon
     result: EffectResult
     group_id: Optional[int] = None
 
@@ -190,7 +182,7 @@ def _effect_task(task: _EffectTask) -> CampaignEffect:
     rng = derive_rng(task.config.seed, "effect", task.venue_id, seg.start_day, horizon.value)
     other = seg.during if horizon is Horizon.SHORT_TERM else seg.after
     result = evaluate_effect(seg.before, other, horizon, task.config, rng)
-    return CampaignEffect(task.venue_id, seg.start_day, seg.end_day, horizon, result, task.group_id)
+    return CampaignEffect(task.venue_id, seg.start_day, seg.end_day, result, task.group_id)
 
 
 def _run_effect_tasks(
@@ -261,11 +253,11 @@ def match_stage(
     promo_ids = {c.period.venue_id for c in eligibility.eligible}
     promo_profiles = [p for p in corpus.profiles if p.venue_id in promo_ids]
     promo_profiles.sort(key=lambda p: p.venue_id)
-    pool = [p for p in corpus.profiles if not p.has_promotion]
-    pool = filter_zero_activity(pool, corpus.series)
-    zero_removed_pool = len([p for p in corpus.profiles if not p.has_promotion]) - len(pool)
+    promoted = {p.venue_id for p in corpus.periods}
+    unpromoted = [p for p in corpus.profiles if p.venue_id not in promoted]
+    pool = filter_zero_activity(unpromoted, corpus.series)
 
-    match_report = cohort_mod.match_reference(
+    matched, exhausted = cohort_mod.match_reference(
         promo_profiles, pool,
         n_groups=config.n_groups,
         rng=derive_rng(config.seed, "match"),
@@ -277,19 +269,19 @@ def match_stage(
     empirical.sort()
     groups = []
     unfittable = 0
-    for group in match_report.groups:
+    for group in matched:
         assigned, dropped = cohort_mod.assign_pseudo_periods(
             group, empirical, corpus.series,
             rng=derive_rng(config.seed, "pseudo", group.group_id),
             min_history=config.k, min_duration=config.min_duration,
         )
-        unfittable += len(dropped)
+        unfittable += dropped
         groups.append(assigned)
     return MatchStageResult(
         groups=groups,
-        exhausted_count=len(match_report.exhausted),
+        exhausted_count=exhausted,
         unfittable_count=unfittable,
-        zero_removed=zero_removed_pool,
+        zero_removed=len(unpromoted) - len(pool),
     )
 
 
@@ -311,17 +303,23 @@ def features_stage(
     effects: Sequence[CampaignEffect],
     config: RunConfig,
 ) -> list[FeatureVector]:
-    """Extract feature vectors for every tested promotion campaign."""
+    """Extract feature vectors for every tested promotion campaign.
+
+    Campaigns whose venue has no profile are skipped, with one warning on
+    stderr.
+    """
     by_key: dict[tuple[str, int, str], EffectResult] = {
-        (e.venue_id, e.start_day, e.horizon.value): e.result for e in effects
+        (e.venue_id, e.start_day, e.result.horizon.value): e.result for e in effects
     }
     profile_of = {p.venue_id: p for p in corpus.profiles}
     index = RadiusIndex(corpus.profiles, cell_deg=max(config.radius_miles / 60.0, 1e-4))
     rows: list[FeatureVector] = []
+    no_profile: list[str] = []
     for campaign in eligibility.eligible:
         period = campaign.period
         profile = profile_of.get(period.venue_id)
         if profile is None:
+            no_profile.append(period.venue_id)
             continue
         seg = campaign.segments
         dc = corpus.cumulative[period.venue_id]
@@ -345,6 +343,9 @@ def features_stage(
                 d_observed=result.cohens_d,
                 label=result.label,
             ))
+    if no_profile:
+        print(f"warning: {len(no_profile)} campaigns skipped: venue has no profile (first: {no_profile[0]})",
+              file=sys.stderr)
     return rows
 
 
@@ -358,10 +359,10 @@ def write_effects_csv(effects: Sequence[CampaignEffect]) -> str:
     ordered = sorted(
         effects,
         key=lambda e: (e.group_id if e.group_id is not None else -1,
-                       e.venue_id, e.start_day, e.horizon.value),
+                       e.venue_id, e.start_day, e.result.horizon.value),
     )
     return csv_text(EFFECTS_CSV_HEADER, (
-        (e.group_id, e.venue_id, e.start_day, e.end_day, e.horizon,
+        (e.group_id, e.venue_id, e.start_day, e.end_day, e.result.horizon,
          e.result.diff, e.result.cohens_d, e.result.p_value, e.result.power,
          e.result.ci_low, e.result.ci_high, e.result.label, e.result.degenerate)
         for e in ordered
@@ -384,7 +385,6 @@ def _effect_row(rec: dict) -> CampaignEffect:
         venue_id=rec["venue_id"],
         start_day=int(rec["start_day"]),
         end_day=int(rec["end_day"]),
-        horizon=result.horizon,
         result=result,
         group_id=int(rec["group_id"]) if rec["group_id"] else None,
     )
@@ -430,7 +430,7 @@ def write_campaigns_csv(eligibility: EligibilityReport) -> str:
     ordered = sorted(eligibility.eligible, key=lambda c: (c.period.venue_id, c.period.start_day))
     return csv_text(CAMPAIGNS_CSV_HEADER, (
         (c.period.venue_id, c.segments.start_day, c.segments.end_day,
-         c.segments.end_day - c.segments.start_day + 1, c.long_term_eligible)
+         c.segments.end_day - c.segments.start_day + 1, c.segments.long_term_eligible)
         for c in ordered
     ))
 

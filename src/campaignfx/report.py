@@ -67,11 +67,6 @@ def _fractions(results, groups=None, stream=None) -> dict:
     return out
 
 
-def _ecdf(ds) -> dict:
-    ecdf = effect_ecdf(ds)
-    return {"points": ecdf.points, "n": ecdf.n, "undefined": ecdf.undefined_count}
-
-
 def effect_tables(
     effects: Sequence[CampaignEffect],
     reference_effects: Sequence[CampaignEffect],
@@ -82,8 +77,8 @@ def effect_tables(
     category_of = {p.venue_id: p.category.value for p in profiles}
     tables: dict = {}
     for horizon in (Horizon.SHORT_TERM, Horizon.LONG_TERM):
-        promo = [e for e in effects if e.horizon is horizon]
-        ref = [e for e in reference_effects if e.horizon is horizon]
+        promo = [e for e in effects if e.result.horizon is horizon]
+        ref = [e for e in reference_effects if e.result.horizon is horizon]
         if not promo and not ref:
             continue
         entry: dict = {"n_promotion": len(promo), "n_reference": len(ref)}
@@ -95,7 +90,7 @@ def effect_tables(
                 label.value: sum(1 for r in promo_results if r.label is label)
                 for label in EffectLabel
             }
-            ecdf_tables["all"] = _ecdf([r.cohens_d for r in promo_results])
+            ecdf_tables["all"] = effect_ecdf([r.cohens_d for r in promo_results])
         if ref:
             entry["reference"] = _fractions(
                 [e.result for e in ref], groups=[e.group_id for e in ref],
@@ -106,7 +101,7 @@ def effect_tables(
             cat_results = [e.result for e in promo if category_of.get(e.venue_id) == cat.value]
             if cat_results:
                 by_category[cat.value] = _fractions(cat_results)
-                ecdf_tables[cat.value] = _ecdf([r.cohens_d for r in cat_results])
+                ecdf_tables[cat.value] = effect_ecdf([r.cohens_d for r in cat_results])
         entry["promotion_by_category"] = by_category
         entry["effect_ecdf"] = ecdf_tables
         tables[_horizon_key(horizon)] = entry

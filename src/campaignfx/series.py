@@ -11,8 +11,8 @@ before / during / after windows around a campaign.
 
 Day-index convention: grid point ``g`` sits at ``origin_ts + g * 86400``
 seconds. The daily value labelled day ``d`` is the accrual over the grid
-window ``[d, d+1)``, i.e. ``values[d - origin_day]`` of a ``DailySeries``
-with ``origin_day = 0``. Campaign day indices use the same labels.
+window ``[d, d+1)``, i.e. ``values[d]`` of a ``DailySeries``. Campaign day
+indices use the same labels.
 """
 
 from __future__ import annotations
@@ -82,25 +82,22 @@ class DailySeries:
     """Daily check-in counts: first difference of a ``DailyCumulative``."""
 
     venue_id: str
-    origin_day: int
-    values: np.ndarray
+    values: np.ndarray  # values[d] is day d's count; day 0 starts at the venue's first reading
 
     def __len__(self) -> int:
         return len(self.values)
 
     @property
     def last_day(self) -> int:
-        return self.origin_day + len(self.values) - 1
+        return len(self.values) - 1
 
     def day_slice(self, start_day: int, end_day: int) -> np.ndarray:
         """Values for day labels ``start_day..end_day`` inclusive."""
-        lo = start_day - self.origin_day
-        hi = end_day - self.origin_day + 1
-        if lo < 0 or hi > len(self.values):
+        if start_day < 0 or end_day >= len(self.values):
             raise InsufficientData(
                 f"days [{start_day}, {end_day}] outside series of {self.venue_id}"
             )
-        return self.values[lo:hi]
+        return self.values[start_day:end_day + 1]
 
 
 @dataclass
@@ -134,10 +131,6 @@ class ParseReport:
     # (5, M) float64 block of ts, checkins, users, tips, likes; each venue's
     # columns in ``readings`` are slices of it, venue after venue
     columns: np.ndarray = field(default_factory=lambda: np.empty((5, 0)), compare=False, repr=False)
-
-    @property
-    def error_count(self) -> int:
-        return len(self.errors)
 
 
 def record_id(value: object, name: str) -> str:
@@ -374,7 +367,6 @@ def daily_checkins(dc: DailyCumulative) -> DailySeries:
         raise InsufficientData("need at least 2 grid points to difference")
     return DailySeries(
         venue_id=dc.venue_id,
-        origin_day=0,
         values=np.diff(dc.values),
     )
 
@@ -410,7 +402,7 @@ def segment(
     duration = effective_end - start_day + 1
     if duration < min_duration:
         raise IneligibleCampaign("ShortCampaign")
-    if start_day - s.origin_day < k:
+    if start_day < k:
         raise IneligibleCampaign("ShortHistory")
 
     before = s.day_slice(start_day - k, start_day - 1)

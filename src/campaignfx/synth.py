@@ -423,7 +423,6 @@ def generate_corpus_data(cfg: SynthConfig) -> SynthCorpus:
         specials = np.searchsorted(starts, poll_ts, "right") - np.searchsorted(ends, poll_ts, "right")
         profile = VenueProfile(
             venue_id=venue_id, category=category, lat=lat, lon=lon,
-            has_promotion=role == "promo",
         )
         venues.append(SynthVenue(
             profile=profile,

@@ -14,10 +14,9 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-def make_series(values, venue_id="v0", origin_day=0) -> DailySeries:
+def make_series(values, venue_id="v0") -> DailySeries:
     return DailySeries(
         venue_id=venue_id,
-        origin_day=origin_day,
         values=np.asarray(values, dtype=float),
     )
 

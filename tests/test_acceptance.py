@@ -106,7 +106,7 @@ def test_criterion_3_anecdote_replica():
         values = np.concatenate([
             r.poisson(lam, 36), r.poisson(lam * (1.0 + delta), n_during)
         ]).astype(float)
-        s = DailySeries("anecdote", 0, values)
+        s = DailySeries("anecdote", values)
         seg = segment(s, 36, 36 + n_during - 1)
         result = evaluate_effect(seg.before, seg.during, Horizon.SHORT_TERM, TestConfig(),
                                  derive_rng(300, "test", i))

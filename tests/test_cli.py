@@ -297,6 +297,37 @@ class TestPipelineCommands:
         for name in ("campaigns.csv", "skipped.csv", "offer_stats.json"):
             assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
+    def test_venue_with_one_reading_is_counted(self, corpus_dir, tmp_path, capsys):
+        offers = ["--offers", corpus_dir / "offers.jsonl"]
+        clean = corpus_dir / "snapshots.jsonl"
+        first = json.loads(clean.read_text().splitlines()[0])
+        dirty = tmp_path / "snapshots.jsonl"
+        dirty.write_text(clean.read_text() + json.dumps({**first, "venue_id": "lonely"}) + "\n")
+        assert run(["segment", "--snapshots", clean, *offers, "--out", tmp_path / "clean"]) == 0
+        assert "venues skipped" not in capsys.readouterr().err
+        assert run(["segment", "--snapshots", dirty, *offers, "--out", tmp_path / "dirty"]) == 0
+        err = capsys.readouterr().err
+        assert "warning: 1 venues skipped: too few readings for a daily series (first: lonely)" in err
+        for name in ("campaigns.csv", "skipped.csv", "offer_stats.json"):
+            assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+    def test_campaign_without_venue_profile_is_counted(self, corpus_dir, stage_dir, tmp_path, capsys):
+        common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl",
+                  "--effects", stage_dir / "effects.csv", "--horizon", "short"]
+        full = (corpus_dir / "venues.jsonl").read_text().splitlines()
+        promoted = sorted({json.loads(line)["venue_id"]
+                           for line in (corpus_dir / "offers.jsonl").read_text().splitlines()})
+        venues = tmp_path / "venues.jsonl"
+        venues.write_text("".join(line + "\n" for line in full if json.loads(line)["venue_id"] != promoted[0]))
+        assert run(["features", *common, "--venues", corpus_dir / "venues.jsonl", "--out", tmp_path / "full"]) == 0
+        assert "campaigns skipped" not in capsys.readouterr().err
+        assert run(["features", *common, "--venues", venues, "--out", tmp_path / "part"]) == 0
+        err = capsys.readouterr().err
+        assert f"warning: 1 campaigns skipped: venue has no profile (first: {promoted[0]})" in err
+        rows = (tmp_path / "full" / "features.csv").read_text().splitlines()
+        kept = [row for row in rows if not row.startswith(promoted[0] + ",")]
+        assert (tmp_path / "part" / "features.csv").read_text().splitlines() == kept
+
     def test_unicode_line_separators_stay_inside_records(self, tmp_path, capsys):
         venue_id = "v\u2028\u2029\x85x"  # raw in JSON strings, but splitlines() breaks at each
         snapshots = tmp_path / "snapshots.jsonl"
@@ -448,7 +479,9 @@ class TestMalformedArtifacts:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[]", '"x"', '{"models": {"a": 1}}', '{"models": null}',
-                                      '{"models": [], "rms_gaps": []}', '{"models": ['])
+                                      '{"models": [], "rms_gaps": []}', '{"models": [',
+                                      '{"models": [1, "x"]}', '{"rms_gaps": {"cv": 5}}',
+                                      '{"rms_gaps": {"cv": {"short_term": "0.1"}}}'])
     def test_malformed_model_metrics(self, stage_dir, tmp_path, capsys, text):
         metrics = tmp_path / "model_metrics.json"
         metrics.write_text(text)

@@ -72,7 +72,7 @@ class TestStages:
             assert c.period.duration >= 7
 
     def test_effects_have_both_horizons(self, effects):
-        horizons = {e.horizon for e in effects}
+        horizons = {e.result.horizon for e in effects}
         assert Horizon.SHORT_TERM in horizons and Horizon.LONG_TERM in horizons
 
     def test_labels_mixed(self, effects):
@@ -101,7 +101,7 @@ class TestStages:
 
     def test_features_join_labels(self, corpus, eligibility, effects):
         rows = features_stage(corpus, eligibility, effects, fast_config())
-        keyed = {(e.venue_id, e.start_day, e.horizon) for e in effects}
+        keyed = {(e.venue_id, e.start_day, e.result.horizon) for e in effects}
         assert len(rows) == len(keyed)
         for row in rows[:20]:
             assert row.label is not None
@@ -115,7 +115,7 @@ class TestMakeTasks:
 
     def test_short_history_window_is_skipped(self, corpus):
         venue_id, series = sorted(corpus.series.items())[0]
-        window = [(venue_id, series.origin_day, series.origin_day + 10, None)]
+        window = [(venue_id, 0, 10, None)]
         assert pipeline._segment_windows(corpus, window, fast_config()) == []
         assert pipeline._segment_windows(corpus, self._window(corpus), fast_config())
 

@@ -44,7 +44,7 @@ class TestParseSnapshots:
             snapshot_line(ts="2012-10-22T00:00:00Z", checkins=3),
         ]
         report = parse_snapshots(lines)
-        assert report.error_count == 0
+        assert report.errors == []
         snaps = report.readings["v1"]
         assert list(snaps.checkins) == [3, 5]
         assert snaps.ts[0] < snaps.ts[1]
@@ -62,18 +62,18 @@ class TestParseSnapshots:
         bad = json.dumps({"venue_id": "v1", "ts": "2012-10-22T00:00:00Z"})
         lines = [bad, snapshot_line(ts="2012-10-23T00:00:00Z", checkins=2)]
         report = parse_snapshots(lines)
-        assert report.error_count == 1
+        assert len(report.errors) == 1
         assert report.errors[0].line_no == 1
         assert "checkins" in report.errors[0].message
         assert len(report.readings["v1"]) == 1
 
     def test_negative_count_rejected(self):
         report = parse_snapshots([snapshot_line(checkins=-1)])
-        assert report.error_count == 1
+        assert len(report.errors) == 1
 
     def test_invalid_json_recorded(self):
         report = parse_snapshots(["{not json", snapshot_line()])
-        assert report.error_count == 1
+        assert len(report.errors) == 1
         assert len(report.readings["v1"]) == 1
 
     def test_csv_alternative(self):
@@ -83,7 +83,7 @@ class TestParseSnapshots:
             "v1,2012-10-23T00:00:00Z,5,2,0,1,1",
         ]
         report = parse_snapshots(lines)
-        assert report.error_count == 0
+        assert report.errors == []
         assert list(report.readings["v1"].checkins) == [3, 5]
 
 
@@ -155,7 +155,6 @@ class TestDailyCheckins:
         dc = DailyCumulative("v1", 0.0, np.array([10.0, 12.0, 15.0]))
         ds = daily_checkins(dc)
         assert np.array_equal(ds.values, [2, 3])
-        assert ds.origin_day == 0
 
     def test_constant_series(self):
         dc = DailyCumulative("v1", 0.0, np.array([5.0, 5.0, 5.0, 5.0]))
@@ -200,13 +199,13 @@ class TestSegment:
         s = make_series(np.arange(60))
         with pytest.raises(IneligibleCampaign) as exc:
             segment(s, 20, 30)
-        assert exc.value.reason == "ShortHistory"
+        assert str(exc.value) == "ShortHistory"
 
     def test_short_campaign_rejected(self):
         s = make_series(np.arange(60))
         with pytest.raises(IneligibleCampaign) as exc:
             segment(s, 30, 33)
-        assert exc.value.reason == "ShortCampaign"
+        assert str(exc.value) == "ShortCampaign"
 
     def test_campaign_truncated_to_data(self):
         # campaign extends beyond the observed series: during is truncated

@@ -61,7 +61,7 @@ class TestGenerateCorpus:
         corpus = generate_corpus_data(small_config(n_venues=50, zero_venue_fraction=0.1))
         all_zero = [v for v in corpus.venues if not np.any(v.daily)]
         assert len(all_zero) >= 5  # the 5 designated plus any Poisson accidents
-        assert all(not v.profile.has_promotion for v in all_zero)
+        assert all(v.planted is None and not v.offers for v in all_zero)
 
     def test_zero_count_contract(self):
         cfg = small_config(n_venues=1000, zero_venue_fraction=0.1, days=63,
@@ -74,7 +74,7 @@ class TestGenerateCorpus:
 
     def test_promoted_count_and_ground_truth(self):
         corpus = generate_corpus_data(small_config())
-        promoted = [v for v in corpus.venues if v.profile.has_promotion]
+        promoted = [v for v in corpus.venues if v.offers]
         assert len(promoted) == 9  # round(0.3 * 30)
         assert len(corpus.ground_truth) == 9
         for v in promoted:
@@ -129,7 +129,7 @@ class TestGenerateCorpus:
     def test_lines_parse_through_real_parsers(self):
         corpus = generate_corpus_data(small_config())
         snaps = parse_snapshots(corpus.snapshot_lines())
-        assert snaps.error_count == 0
+        assert snaps.errors == []
         assert len(snaps.readings) == 30
         offers = parse_offers(corpus.offer_lines())
         assert offers.errors == []
