@@ -30,6 +30,7 @@ from .cohort import parse_venues
 from .config import RunConfig, build_run_config
 from .errors import CampaignFxError, InvalidConfig
 from .pipeline import (
+    Drops,
     LoadedCorpus,
     load_corpus,
     match_stage,
@@ -46,7 +47,7 @@ from .pipeline import (
 )
 from .features import read_features_csv, write_features_csv
 from .report import build_report, feature_auc_csv, render_report, train_models
-from .series import MAX_GRID_DAYS, ParseError
+from .series import ParseError
 from .snapcache import CACHE_NAME, cache_key, load_cache, read_lines, write_cache
 from .synth import SynthConfig, generate_corpus_data
 
@@ -129,13 +130,15 @@ def _model_payload(text: str) -> dict:
     return payload
 
 
-def _warn_parse_errors(path: Path, errors: Sequence[ParseError]) -> None:
-    if errors:
-        print(
-            f"warning: {len(errors)} malformed records skipped in {path} "
-            f"(first: line {errors[0].line_no}: {errors[0].message})",
-            file=sys.stderr,
-        )
+def _warn(drops: Drops, start: int = 0) -> None:
+    """One warning for each reason in ``drops``, from the ``start``-th on, that skipped anything."""
+    for key, skipped in list(drops.items())[start:]:
+        if skipped:
+            print(f"warning: {len(skipped)} {key} (first: {skipped[0]})", file=sys.stderr)
+
+
+def _malformed(path: Path, errors: Sequence[ParseError]) -> Drops:
+    return {f"malformed records skipped in {path}": [f"line {e.line_no}: {e.message}" for e in errors]}
 
 
 def _stage_inputs(
@@ -158,14 +161,8 @@ def _stage_inputs(
     if cached is None:
         artifacts[CACHE_NAME] = functools.partial(write_cache, key=key, report=corpus.snapshot_parse)
     for name, errors in corpus.parse_errors.items():
-        _warn_parse_errors(getattr(args, name), errors)
-    for skipped, what, why in (
-        (corpus.short_series_venues, "venues", "too few readings for a daily series"),
-        (corpus.long_span_venues, "venues", f"readings span {MAX_GRID_DAYS} days or more"),
-        ([o.special_id for o in corpus.unplaced_offers], "offers", "venue has no usable daily series"),
-    ):
-        if skipped:
-            print(f"warning: {len(skipped)} {what} skipped: {why} (first: {skipped[0]})", file=sys.stderr)
+        _warn(_malformed(getattr(args, name), errors))
+    _warn(corpus.drops)
     if venues_required and not corpus.profiles:
         raise InvalidConfig(venues_required)
     return config, corpus, segment_stage(corpus, config), artifacts
@@ -208,12 +205,14 @@ def cmd_segment(args: argparse.Namespace) -> Artifacts:
 
 def cmd_test(args: argparse.Namespace) -> Artifacts:
     config, corpus, eligibility, artifacts = _stage_inputs(args)
+    loaded = len(corpus.drops)
     if args.groups is not None:
         effects = reference_test_stage(corpus, _read_table(args.groups, read_groups_csv), config)
         kind, name = "reference", "reference_effects.csv"
     else:
         effects = test_stage(corpus, eligibility, config)
         kind, name = "campaign", "effects.csv"
+    _warn(corpus.drops, loaded)
     windows = len({(e.group_id, e.venue_id, e.start_day) for e in effects})  # one test per window and horizon
     print(f"tested {windows} {kind} windows ({len(effects)} tests)")
     return artifacts | {name: write_effects_csv(effects)}
@@ -238,7 +237,9 @@ def cmd_features(args: argparse.Namespace) -> Artifacts:
         args, venues_required="feature extraction requires a venues file"
     )
     effects = _read_table(args.effects, read_effects_csv)
+    loaded = len(corpus.drops)
     rows = features_stage(corpus, eligibility, effects, config)
+    _warn(corpus.drops, loaded)
     print(f"extracted {len(rows)} feature rows")
     return artifacts | {"features.csv": write_features_csv(rows)}
 
@@ -265,7 +266,7 @@ def cmd_report(args: argparse.Namespace) -> Artifacts:
     profiles = []
     if args.venues:
         venue_report = parse_venues(read_lines(args.venues))
-        _warn_parse_errors(args.venues, venue_report.errors)
+        _warn(_malformed(args.venues, venue_report.errors))
         profiles = venue_report.profiles
     model_payload = _read_table(args.model_metrics, _model_payload) if args.model_metrics else {}
 

@@ -1,8 +1,8 @@
 """End-to-end stage wiring shared by the CLI and the test harnesses.
 
-Stages are functions over an in-memory corpus; their only side effects are
-warnings on stderr about reference windows that cannot be segmented and
-about campaigns whose venue has no profile to take features from. Every
+Stages are functions over an in-memory corpus. What loading and the stages
+skip is recorded, with its reason, in the corpus's ``drops`` ledger; the
+library prints nothing, and callers report the ledger as they see fit. Every
 randomized step derives its RNG stream from the run seed plus stable
 identifiers, so results do not depend on execution order or the number of
 worker processes.
@@ -10,8 +10,6 @@ worker processes.
 
 from __future__ import annotations
 
-import sys
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -36,6 +34,7 @@ from .geo import RadiusIndex
 from .rng import derive_rng
 from .series import (
     DAY_SECONDS,
+    MAX_GRID_DAYS,
     DailyCumulative,
     DailySeries,
     ParseError,
@@ -50,6 +49,13 @@ from .series import (
     segment,
 )
 
+# "<things> skipped: <reason>" -> the skipped items, in input order
+Drops = dict[str, list[str]]
+
+_SHORT_SERIES = "venues skipped: too few readings for a daily series"
+_LONG_SPAN = f"venues skipped: readings span {MAX_GRID_DAYS} days or more"
+_UNPLACED = "offers skipped: venue has no usable daily series"
+
 
 @dataclass
 class LoadedCorpus:
@@ -61,27 +67,11 @@ class LoadedCorpus:
     snapshot_parse: Optional[ParseReport] = None  # what ``snapshots`` came from, when loaded from input
     # input ("snapshots", "offers", "venues") -> its malformed lines, when loaded from input
     parse_errors: dict[str, list[ParseError]] = field(default_factory=dict)
-    short_series_venues: list[str] = field(default_factory=list)
-    long_span_venues: list[str] = field(default_factory=list)  # readings span MAX_GRID_DAYS or more
-    unplaced_offers: list[RawOffer] = field(default_factory=list)  # venue has no usable daily series
+    drops: Drops = field(default_factory=dict)  # what loading and the stages run on it skipped
 
-
-def _index_offers(
-    raw_offers: Sequence[RawOffer], cumulative: dict[str, DailyCumulative]
-) -> tuple[list[PromotionPeriod], list[RawOffer]]:
-    """Promotion periods of the offers placed on their venue's grid, and the offers that could not be."""
-    offers_by_venue: dict[str, list[SpecialOffer]] = {}
-    unplaced: list[RawOffer] = []
-    for raw in raw_offers:
-        dc = cumulative.get(raw.venue_id)
-        if dc is None:
-            unplaced.append(raw)
-            continue
-        offers_by_venue.setdefault(raw.venue_id, []).append(align_offer(raw, dc.origin_ts))
-    periods: list[PromotionPeriod] = []
-    for venue_id in sorted(offers_by_venue):
-        periods.extend(build_promotion_periods(offers_by_venue[venue_id]))
-    return periods, unplaced
+    @property
+    def short_series_venues(self) -> list[str]:
+        return self.drops.get(_SHORT_SERIES, [])
 
 
 def build_corpus(
@@ -89,32 +79,39 @@ def build_corpus(
     raw_offers: Sequence[RawOffer],
     profiles: Sequence[VenueProfile],
 ) -> LoadedCorpus:
-    """Derive daily series and promotion periods from already-parsed inputs."""
+    """Derive daily series and promotion periods from already-parsed inputs; ``drops`` names what is skipped."""
     cumulative: dict[str, DailyCumulative] = {}
     series: dict[str, DailySeries] = {}
-    short_series, long_span = [], []
+    drops: Drops = {_SHORT_SERIES: [], _LONG_SPAN: [], _UNPLACED: []}
     for venue_id in sorted(snapshots):
         try:
             dc = interpolate_daily(snapshots[venue_id])
             ds = daily_checkins(dc)
         except InsufficientData:
-            short_series.append(venue_id)
+            drops[_SHORT_SERIES].append(venue_id)
             continue
         except SpanTooLong:
-            long_span.append(venue_id)
+            drops[_LONG_SPAN].append(venue_id)
             continue
         cumulative[venue_id] = dc
         series[venue_id] = ds
-    periods, unplaced = _index_offers(raw_offers, cumulative)
+    offers_by_venue: dict[str, list[SpecialOffer]] = {}
+    for raw in raw_offers:
+        dc = cumulative.get(raw.venue_id)
+        if dc is None:
+            drops[_UNPLACED].append(raw.special_id)
+            continue
+        offers_by_venue.setdefault(raw.venue_id, []).append(align_offer(raw, dc.origin_ts))
+    periods: list[PromotionPeriod] = []
+    for venue_id in sorted(offers_by_venue):
+        periods.extend(build_promotion_periods(offers_by_venue[venue_id]))
     return LoadedCorpus(
         snapshots=dict(snapshots),
         cumulative=cumulative,
         series=series,
         periods=periods,
         profiles=list(profiles),
-        short_series_venues=short_series,
-        long_span_venues=long_span,
-        unplaced_offers=unplaced,
+        drops=drops,
     )
 
 
@@ -210,11 +207,10 @@ def _segment_windows(
 ) -> list[tuple[str, Optional[int], SegmentedSeries]]:
     """Segment each ``(venue_id, start_day, end_day, group_id)`` window.
 
-    Windows that cannot be segmented are skipped, with one warning on stderr
-    per reason.
+    Windows that cannot be segmented are skipped and recorded in
+    ``corpus.drops`` under their reason.
     """
     segmented = []
-    skipped: dict[str, list[str]] = defaultdict(list)
     for venue_id, start_day, end_day, group_id in windows:
         s = corpus.series.get(venue_id)
         try:
@@ -222,11 +218,10 @@ def _segment_windows(
                 raise InsufficientData("venue has no usable daily series")
             seg = segment(s, start_day, end_day, k=config.k, w_max=config.w_max, min_duration=config.min_duration)
         except (IneligibleCampaign, InsufficientData) as exc:
-            skipped[str(exc)].append(f"{venue_id} days {start_day}-{end_day}")
+            corpus.drops.setdefault(f"reference windows skipped: {exc}", []).append(
+                f"{venue_id} days {start_day}-{end_day}")
             continue
         segmented.append((venue_id, group_id, seg))
-    for why, which in skipped.items():
-        print(f"warning: {len(which)} reference windows skipped: {why} (first: {which[0]})", file=sys.stderr)
     return segmented
 
 
@@ -305,8 +300,8 @@ def features_stage(
 ) -> list[FeatureVector]:
     """Extract feature vectors for every tested promotion campaign.
 
-    Campaigns whose venue has no profile are skipped, with one warning on
-    stderr.
+    Campaigns whose venue has no profile, and horizons a campaign has but
+    ``effects`` holds no row for, are skipped and recorded in ``corpus.drops``.
     """
     by_key: dict[tuple[str, int, str], EffectResult] = {
         (e.venue_id, e.start_day, e.result.horizon.value): e.result for e in effects
@@ -314,7 +309,8 @@ def features_stage(
     profile_of = {p.venue_id: p for p in corpus.profiles}
     index = RadiusIndex(corpus.profiles, cell_deg=max(config.radius_miles / 60.0, 1e-4))
     rows: list[FeatureVector] = []
-    no_profile: list[str] = []
+    no_profile = corpus.drops.setdefault("campaigns skipped: venue has no profile", [])
+    no_row = corpus.drops.setdefault("campaign horizons skipped: no row in effects", [])
     for campaign in eligibility.eligible:
         period = campaign.period
         profile = profile_of.get(period.venue_id)
@@ -329,8 +325,11 @@ def features_stage(
         t_eve = dc.origin_ts + (seg.start_day - 1) * DAY_SECONDS
         geo_f = extract_geo_features(profile, neighbors, corpus.snapshots, t_eve)
         for horizon in _horizons(config):
+            if horizon is Horizon.LONG_TERM and not seg.long_term_eligible:
+                continue  # no window to test, so no row is missing
             result = by_key.get((period.venue_id, seg.start_day, horizon.value))
             if result is None:
+                no_row.append(f"{period.venue_id} days {seg.start_day}-{seg.end_day} {horizon.value}")
                 continue
             rows.append(FeatureVector(
                 venue_id=period.venue_id,
@@ -343,9 +342,6 @@ def features_stage(
                 d_observed=result.cohens_d,
                 label=result.label,
             ))
-    if no_profile:
-        print(f"warning: {len(no_profile)} campaigns skipped: venue has no profile (first: {no_profile[0]})",
-              file=sys.stderr)
     return rows
 
 

@@ -21,6 +21,7 @@ bytes, so a byte damaged in either is a miss, not a different parse.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import locale
@@ -38,8 +39,8 @@ CACHE_NAME = ".snapshots.cache"
 
 
 def text_encoding() -> str:
-    """The codec input files are decoded with: the one ``open`` uses by default."""
-    return locale.getpreferredencoding(False)
+    """The codec ``open`` decodes input files with by default, by its canonical name: ``UTF-8`` is ``utf-8``."""
+    return codecs.lookup(locale.getpreferredencoding(False)).name
 
 
 def read_lines(path: Path) -> list[str]:

@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -720,3 +721,122 @@ class TestSnapshotParseCache:
         reads.clear()
         assert run(test) == 0
         assert (calls["load_corpus"], calls["parse_snapshots"]) == (1, 0) and snapshots not in reads
+
+
+@pytest.fixture(scope="module")
+def pin_corpus(corpus_dir, tmp_path_factory):
+    """The module corpus with one item for every reason a run skips something.
+
+    Snapshots: a malformed line, a venue with one poll and one whose polls
+    span too many days. Offers: a malformed line and an offer for a venue
+    with no series. Venues: a malformed line, and no profile for the first
+    promoted venue.
+    """
+    d = tmp_path_factory.mktemp("pin")
+    snapshots = (corpus_dir / "snapshots.jsonl").read_text()
+    first = json.loads(snapshots.splitlines()[0])
+    (d / "snapshots.jsonl").write_text(snapshots + "{broken\n" + "".join(
+        json.dumps(rec) + "\n" for rec in (
+            {**first, "venue_id": "lonely"},
+            {**first, "venue_id": "far", "ts": 0},
+            {**first, "venue_id": "far", "ts": 1e300},
+        )))
+    offers = (corpus_dir / "offers.jsonl").read_text()
+    ghost = {**json.loads(offers.splitlines()[0]), "venue_id": "ghost", "special_id": "ghost-s0"}
+    (d / "offers.jsonl").write_text(offers + '{"venue_id": 7}\n' + json.dumps(ghost) + "\n")
+    promoted = min(json.loads(line)["venue_id"] for line in offers.splitlines())
+    venues = [line for line in (corpus_dir / "venues.jsonl").read_text().splitlines()
+              if json.loads(line)["venue_id"] != promoted]
+    (d / "venues.jsonl").write_text("".join(line + "\n" for line in venues) + "[]\n")
+    return d
+
+
+def pin_commands(pin, out):
+    """segment → test → match → test --groups at a longer --k → features → report on ``pin``."""
+    common = ["--snapshots", pin / "snapshots.jsonl", "--offers", pin / "offers.jsonl",
+              "--bootstraps", 99, "--seed", 4]
+    venues = ["--venues", pin / "venues.jsonl"]
+    return [
+        ["segment", *common, "--out", out],
+        ["test", *common, "--out", out],
+        ["match", *common, *venues, "--n-groups", 3, "--grid-deg", 5, "--out", out],
+        ["test", *common, "--groups", out / "groups.csv", "--k", 60, "--out", out],
+        ["features", *common, *venues, "--effects", out / "effects.csv", "--out", out],
+        ["report", "--effects", out / "effects.csv", "--reference-effects", out / "reference_effects.csv",
+         "--features", out / "features.csv", *venues, "--out", out],
+    ]
+
+
+PIN_MALFORMED = {
+    name: f"warning: 1 malformed records skipped in <pin>/{name}.jsonl (first: line {where})\n"
+    for name, where in (
+        ("snapshots", "2731: invalid JSON: Expecting property name enclosed in double quotes"),
+        ("offers", "18: missing field 'type'"),
+        ("venues", "30: record is not an object"),
+    )
+}
+PIN_CORPUS_DROPS = (
+    "warning: 1 venues skipped: too few readings for a daily series (first: lonely)\n"
+    "warning: 1 venues skipped: readings span 3660 days or more (first: far)\n"
+    "warning: 1 offers skipped: venue has no usable daily series (first: ghost-s0)\n"
+)
+
+
+class TestWarnings:
+    def test_stderr_of_every_command(self, pin_corpus, tmp_path, capsys):
+        """Each command's whole stderr on a corpus that skips something for every reason."""
+        snapshots, offers, venues = PIN_MALFORMED.values()
+        expected = [
+            snapshots + offers + PIN_CORPUS_DROPS,
+            snapshots + offers + PIN_CORPUS_DROPS,
+            snapshots + offers + venues + PIN_CORPUS_DROPS,
+            snapshots + offers + PIN_CORPUS_DROPS
+            + "warning: 9 reference windows skipped: ShortHistory (first: v000001 days 51-67)\n",
+            snapshots + offers + venues + PIN_CORPUS_DROPS
+            + "warning: 1 campaigns skipped: venue has no profile (first: v000000)\n",
+            venues,
+        ]
+        got = []
+        for argv in pin_commands(pin_corpus, tmp_path / "run"):
+            assert run(argv) == 0
+            got.append(capsys.readouterr().err.replace(str(pin_corpus), "<pin>"))
+        assert got == expected
+
+    def test_library_prints_nothing_and_records_every_drop(self, pin_corpus, capfd):
+        """The stages leave what they skip in ``corpus.drops``; only the CLI prints it."""
+        corpus = pipeline.load_corpus(*(read_lines(pin_corpus / f"{name}.jsonl")
+                                        for name in ("snapshots", "offers", "venues")))
+        config = RunConfig(bootstraps=99, seed=4, n_groups=3, grid_deg=5, jobs=2)
+        eligibility = pipeline.segment_stage(corpus, config)
+        effects = pipeline.test_stage(corpus, eligibility, config)
+        groups = pipeline.match_stage(corpus, eligibility, config).groups
+        pipeline.reference_test_stage(corpus, groups, dataclasses.replace(config, k=60))
+        assert pipeline.features_stage(corpus, eligibility, effects, config)
+        assert capfd.readouterr().err == ""
+        assert {name: len(errors) for name, errors in corpus.parse_errors.items()} == \
+            {"snapshots": 1, "offers": 1, "venues": 1}
+        assert {key: len(skipped) for key, skipped in corpus.drops.items()} == {
+            "venues skipped: too few readings for a daily series": 1,
+            "venues skipped: readings span 3660 days or more": 1,
+            "offers skipped: venue has no usable daily series": 1,
+            "reference windows skipped: ShortHistory": 9,
+            "campaigns skipped: venue has no profile": 1,
+            "campaign horizons skipped: no row in effects": 0,
+        }
+
+    def test_horizon_without_effects_row_is_counted(self, corpus_dir, stage_dir, tmp_path, capsys):
+        """Effects tested at the short horizon only: features at both name each long-term window left out."""
+        common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl",
+                  "--venues", corpus_dir / "venues.jsonl", "--effects", stage_dir / "effects.csv"]
+        assert run(["segment", *common[:4], "--out", tmp_path / "short"]) == 0
+        assert run(["features", *common, "--horizon", "short", "--out", tmp_path / "short"]) == 0
+        assert "skipped" not in capsys.readouterr().err
+        assert run(["features", *common, "--out", tmp_path / "both"]) == 0
+        long_term = [row for row in csv.DictReader(io.StringIO((tmp_path / "short" / "campaigns.csv").read_text()))
+                     if row["long_term_eligible"] == "1"]
+        first = long_term[0]
+        assert capsys.readouterr().err == (
+            f"warning: {len(long_term)} campaign horizons skipped: no row in effects "
+            f"(first: {first['venue_id']} days {first['start_day']}-{first['end_day']} LongTerm)\n"
+        )
+        assert (tmp_path / "both" / "features.csv").read_bytes() == (tmp_path / "short" / "features.csv").read_bytes()

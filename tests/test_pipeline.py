@@ -117,6 +117,7 @@ class TestMakeTasks:
         venue_id, series = sorted(corpus.series.items())[0]
         window = [(venue_id, 0, 10, None)]
         assert pipeline._segment_windows(corpus, window, fast_config()) == []
+        assert corpus.drops["reference windows skipped: ShortHistory"][-1] == f"{venue_id} days 0-10"
         assert pipeline._segment_windows(corpus, self._window(corpus), fast_config())
 
     @pytest.mark.parametrize("error", [IneligibleCampaign("ShortHistory"), InsufficientData("gap")])
@@ -125,6 +126,8 @@ class TestMakeTasks:
             raise error
         monkeypatch.setattr(pipeline, "segment", refuse)
         assert pipeline._segment_windows(corpus, self._window(corpus), fast_config()) == []
+        venue_id = self._window(corpus)[0][0]
+        assert corpus.drops[f"reference windows skipped: {error}"][-1] == f"{venue_id} days 40-50"
 
     @pytest.mark.parametrize("error", [RuntimeError("bug"), ValueError("bad"), KeyError("x")])
     def test_other_errors_propagate(self, corpus, monkeypatch, error):
@@ -168,6 +171,9 @@ class TestLoadCorpusFromLines:
         one = [json.dumps({"venue_id": "one", "ts": 0, "checkins": 0, "users": 0,
                            "specials": 0, "tips": 0, "likes": 0})]
         loaded = load_corpus(synth.snapshot_lines() + far + one, synth.offer_lines())
-        assert loaded.long_span_venues == ["far"]
-        assert loaded.short_series_venues == ["one"]
+        assert loaded.drops == {
+            "venues skipped: too few readings for a daily series": ["one"],
+            "venues skipped: readings span 3660 days or more": ["far"],
+            "offers skipped: venue has no usable daily series": [],
+        }
         assert set(loaded.series) == set(synth.snapshots)

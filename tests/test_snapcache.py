@@ -1,4 +1,5 @@
 import json
+import locale
 import tracemalloc
 
 import numpy as np
@@ -150,6 +151,17 @@ class TestKey:
         b.write_bytes(b'{"venue_id": "w"}\n')  # same size
         assert cache_key(a) != cache_key(b)
         assert len(cache_key(a)) == 32
+
+    def test_one_key_per_codec(self, tmp_path, monkeypatch):
+        """A C.UTF-8 locale names the codec ``UTF-8``, UTF-8 mode ``utf-8``: one codec, one cache."""
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'{"venue_id": "v"}\n')
+        keys = set()
+        for name in ("UTF-8", "utf-8", "utf8"):
+            monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True, name=name: name)
+            keys.add(cache_key(path))
+        monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "latin-1")
+        assert len(keys) == 1 and cache_key(path) not in keys
 
 
 def test_write_does_not_copy_the_column_block(tmp_path):
