@@ -8,6 +8,7 @@ config file, and command-line flags.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
@@ -52,10 +53,10 @@ class RunConfig:
             raise InvalidConfig(f"w_max must be >= {AFTER_MIN_DAYS}")
         if self.min_duration < 2:
             raise InvalidConfig("min_duration must be >= 2")
-        if self.radius_miles <= 0:
-            raise InvalidConfig("radius_miles must be positive")
-        if self.grid_deg <= 0:
-            raise InvalidConfig("grid_deg must be positive")
+        if not 0 < self.radius_miles < math.inf:
+            raise InvalidConfig("radius_miles must be positive and finite")
+        if not 0 < self.grid_deg < math.inf:
+            raise InvalidConfig("grid_deg must be positive and finite")
         if self.n_groups < 1:
             raise InvalidConfig("n_groups must be >= 1")
         if self.folds < 2:

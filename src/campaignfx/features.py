@@ -5,6 +5,11 @@ Venue features describe the business itself at the eve of the campaign
 features describe the deal (duration, kind mix, offer density). Geographic
 features summarize the 0.5-mile neighborhood: venue density, total nearby
 check-ins, same-type competition, and type diversity.
+
+A feature row is stored as its design-column values: each extractor returns
+its family's ``FEATURE_SET_COLUMNS`` as a dict of floats, with categories,
+offer kinds and a missing loyalty already encoded as 0/1 flags, and
+``design_matrix`` and the CSV read those values as they are.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .campaign import OFFER_KINDS, OfferKind, PromotionPeriod
-from .cohort import CATEGORIES, Category, VenueProfile
+from .campaign import OFFER_KINDS, PromotionPeriod
+from .cohort import CATEGORIES, VenueProfile
 from .effect import EffectLabel, Horizon
 from .errors import MissingCounter
 from .geo import RadiusIndex
@@ -28,47 +33,12 @@ LOYALTY_IMPUTED = 1.0  # minimum achievable return rate
 
 
 @dataclass
-class VenueFeatures:
-    m_b: float
-    c_a: float
-    loyalty: Optional[float]  # None when no users were ever recorded
-    likes: float
-    tips: float
-    category: Category
-
-    @property
-    def loyalty_imputed(self) -> float:
-        return LOYALTY_IMPUTED if self.loyalty is None else self.loyalty
-
-    @property
-    def loyalty_missing(self) -> float:
-        return 1.0 if self.loyalty is None else 0.0
-
-
-@dataclass
-class PromoFeatures:
-    duration: int
-    kinds: frozenset[OfferKind]
-    n_s: float
-
-
-@dataclass
-class GeoFeatures:
-    density: int
-    area_pop: float
-    competitiveness: float
-    entropy: float
-
-
-@dataclass
 class FeatureVector:
     venue_id: str
     start_day: int
     end_day: int
     horizon: Horizon
-    venue: VenueFeatures
-    promo: PromoFeatures
-    geo: GeoFeatures
+    values: dict[str, float]  # keyed by DESIGN_COLUMNS
     d_observed: Optional[float]
     label: Optional[EffectLabel]
 
@@ -78,32 +48,38 @@ def extract_venue_features(
     snapshots: VenueSnapshots,
     origin_ts: float,
     profile: VenueProfile,
-) -> VenueFeatures:
-    """Venue features evaluated at the day before the campaign starts."""
+) -> dict[str, float]:
+    """Venue features evaluated at the day before the campaign starts.
+
+    A venue that never recorded a user gets ``loyalty = LOYALTY_IMPUTED``
+    and ``loyalty_missing = 1``.
+    """
     t_eve = origin_ts + (segments.start_day - 1) * DAY_SECONDS
     if not snapshots or not snapshots.ts[0] <= t_eve <= snapshots.ts[-1]:
         raise MissingCounter(f"no counter coverage at campaign eve for {profile.venue_id}")
     checkins = counter_at(snapshots, "checkins", t_eve)
     users = counter_at(snapshots, "users", t_eve)
-    return VenueFeatures(
-        m_b=float(np.mean(segments.before)),
-        c_a=checkins,
-        loyalty=None if users == 0 else checkins / users,
-        likes=counter_at(snapshots, "likes", t_eve),
-        tips=counter_at(snapshots, "tips", t_eve),
-        category=profile.category,
-    )
+    return {
+        "m_b": float(np.mean(segments.before)),
+        "c_a": checkins,
+        "loyalty": LOYALTY_IMPUTED if users == 0 else checkins / users,
+        "loyalty_missing": 1.0 if users == 0 else 0.0,
+        "likes": counter_at(snapshots, "likes", t_eve),
+        "tips": counter_at(snapshots, "tips", t_eve),
+        **{f"cat_{c.value}": 1.0 if profile.category is c else 0.0 for c in CATEGORIES},
+    }
 
 
-def extract_promo_features(period: PromotionPeriod) -> PromoFeatures:
+def extract_promo_features(period: PromotionPeriod) -> dict[str, float]:
     """Duration, kind mix, and offers-per-day of a promotion period."""
     if not period.offers:
         raise ValueError("promotion period has no offers")
-    return PromoFeatures(
-        duration=period.duration,
-        kinds=frozenset(o.kind for o in period.offers),
-        n_s=len(period.offers) / period.duration,
-    )
+    kinds = {o.kind for o in period.offers}
+    return {
+        "duration": float(period.duration),
+        **{f"xi_{k.value}": 1.0 if k in kinds else 0.0 for k in OFFER_KINDS},
+        "n_s": len(period.offers) / period.duration,
+    }
 
 
 def neighborhood(
@@ -121,7 +97,7 @@ def extract_geo_features(
     neighbors: Sequence[VenueProfile],
     snapshots: Mapping[str, VenueSnapshots],
     t_eve_ts: float,
-) -> GeoFeatures:
+) -> dict[str, float]:
     """Neighborhood density, popularity, competition, and type entropy.
 
     ``area_pop`` totals each neighbor's cumulative check-ins interpolated at
@@ -131,7 +107,7 @@ def extract_geo_features(
     """
     density = len(neighbors)
     if density == 0:
-        return GeoFeatures(density=0, area_pop=0.0, competitiveness=0.0, entropy=0.0)
+        return {"density": 0.0, "area_pop": 0.0, "competitiveness": 0.0, "entropy": 0.0}
     area_pop = 0.0
     type_counts = {c: 0 for c in CATEGORIES}
     for nb in sorted(neighbors, key=lambda p: p.venue_id):
@@ -146,12 +122,12 @@ def extract_geo_features(
         if count:
             f = count / density
             entropy -= f * math.log(f)
-    return GeoFeatures(
-        density=density,
-        area_pop=area_pop,
-        competitiveness=same_type / density,
-        entropy=entropy,
-    )
+    return {
+        "density": float(density),
+        "area_pop": area_pop,
+        "competitiveness": same_type / density,
+        "entropy": entropy,
+    }
 
 
 # Column names of each feature family.
@@ -169,31 +145,10 @@ DESIGN_COLUMNS = [c for name in FEATURE_SET_NAMES for c in FEATURE_SET_COLUMNS[n
 
 CSV_HEADER = ["venue_id", "start_day", "end_day", "horizon"] + DESIGN_COLUMNS + ["d_observed", "label"]
 
-
-def feature_values(fv: FeatureVector) -> dict[str, float]:
-    """Numeric value of every model feature for one campaign."""
-    out = {
-        "m_b": fv.venue.m_b,
-        "c_a": fv.venue.c_a,
-        "loyalty": fv.venue.loyalty_imputed,
-        "loyalty_missing": fv.venue.loyalty_missing,
-        "likes": fv.venue.likes,
-        "tips": fv.venue.tips,
-        "duration": float(fv.promo.duration),
-        "n_s": fv.promo.n_s,
-        "density": float(fv.geo.density),
-        "area_pop": fv.geo.area_pop,
-        "competitiveness": fv.geo.competitiveness,
-        "entropy": fv.geo.entropy,
-    }
-    for cat in CATEGORIES:
-        out[f"cat_{cat.value}"] = 1.0 if fv.venue.category is cat else 0.0
-    for kind in OFFER_KINDS:
-        out[f"xi_{kind.value}"] = 1.0 if kind in fv.promo.kinds else 0.0
-    return out
-
-
 _column_values = operator.itemgetter(*DESIGN_COLUMNS)
+
+# Columns that hold a 0/1 flag rather than a measurement.
+_FLAG_COLUMNS = [c for c in DESIGN_COLUMNS if c == "loyalty_missing" or c.startswith(("cat_", "xi_"))]
 
 
 def select_columns(feature_sets: Sequence[str]) -> tuple[list[int], list[str]]:
@@ -216,51 +171,32 @@ def design_matrix(
 ) -> tuple[np.ndarray, list[str]]:
     """Stack the selected feature families into a C-contiguous design matrix."""
     idx, columns = select_columns(feature_sets)
-    full = np.array([_column_values(feature_values(fv)) for fv in rows], dtype=float)
+    full = np.array([_column_values(fv.values) for fv in rows], dtype=float)
     return np.take(full.reshape(len(rows), len(DESIGN_COLUMNS)), idx, axis=1), columns
 
 
 def write_features_csv(rows: Sequence[FeatureVector]) -> str:
     return csv_text(CSV_HEADER, (
         (fv.venue_id, fv.start_day, fv.end_day, fv.horizon,
-         *_column_values(feature_values(fv)), fv.d_observed, fv.label)
+         *_column_values(fv.values), fv.d_observed, fv.label)
         for fv in sorted(rows, key=lambda r: (r.venue_id, r.start_day, r.horizon.value))
     ))
 
 
 def _feature_row(record: dict) -> FeatureVector:
-    categories = [c for c in CATEGORIES if float(record[f"cat_{c.value}"]) == 1.0]
-    if len(categories) != 1:
-        raise ValueError(f"{len(categories)} cat_* cells are 1, not exactly one")
-    kinds = frozenset(k for k in OFFER_KINDS if float(record[f"xi_{k.value}"]) == 1.0)
-    loyalty_missing = float(record["loyalty_missing"]) == 1.0
-    venue = VenueFeatures(
-        m_b=float(record["m_b"]),
-        c_a=float(record["c_a"]),
-        loyalty=None if loyalty_missing else float(record["loyalty"]),
-        likes=float(record["likes"]),
-        tips=float(record["tips"]),
-        category=categories[0],
-    )
-    promo = PromoFeatures(
-        duration=int(float(record["duration"])),
-        kinds=kinds,
-        n_s=float(record["n_s"]),
-    )
-    geo = GeoFeatures(
-        density=int(float(record["density"])),
-        area_pop=float(record["area_pop"]),
-        competitiveness=float(record["competitiveness"]),
-        entropy=float(record["entropy"]),
-    )
+    values = {c: float(record[c]) for c in DESIGN_COLUMNS}
+    for c in _FLAG_COLUMNS:
+        if values[c] not in (0.0, 1.0):
+            raise ValueError(f"{c} is {record[c]!r}, not 0 or 1")
+    n_categories = sum(values[f"cat_{c.value}"] for c in CATEGORIES)
+    if n_categories != 1:
+        raise ValueError(f"{n_categories:g} cat_* cells are 1, not exactly one")
     return FeatureVector(
         venue_id=record["venue_id"],
         start_day=int(record["start_day"]),
         end_day=int(record["end_day"]),
         horizon=Horizon(record["horizon"]),
-        venue=venue,
-        promo=promo,
-        geo=geo,
+        values=values,
         d_observed=float(record["d_observed"]) if record["d_observed"] else None,
         label=EffectLabel(record["label"]) if record["label"] else None,
     )

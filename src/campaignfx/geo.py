@@ -59,17 +59,20 @@ class RadiusIndex(Generic[T]):
 
     def within_radius(self, lat: float, lon: float, r_miles: float) -> list[T]:
         """All items at haversine distance <= ``r_miles`` from the point."""
-        if r_miles < 0:
+        if not r_miles >= 0:
             raise ValueError("radius must be non-negative")
-        dlat_deg = math.degrees(r_miles / EARTH_RADIUS_MILES)
+        # a ball of radius pi * R covers the sphere; bounding the cell search by
+        # it keeps the bounds finite and sin_half >= 0 for any larger radius
+        r_bound = min(r_miles, math.pi * EARTH_RADIUS_MILES)
+        dlat_deg = math.degrees(r_bound / EARTH_RADIUS_MILES)
         row_lo = int(math.floor((lat - dlat_deg) / self.cell_deg)) - 1
         row_hi = int(math.floor((lat + dlat_deg) / self.cell_deg)) + 1
 
         phi_max = min(89.9999, abs(lat) + dlat_deg)
         cos_max = math.cos(math.radians(phi_max))
-        sin_half = math.sin(r_miles / (2.0 * EARTH_RADIUS_MILES))
+        sin_half = math.sin(r_bound / (2.0 * EARTH_RADIUS_MILES))
         if cos_max <= sin_half:
-            # near-polar query: longitude bound degenerates, scan whole rows
+            # near-polar or sphere-covering query: longitude bound degenerates, scan whole rows
             col_range = None
         else:
             dlon_deg = math.degrees(2.0 * math.asin(sin_half / cos_max))

@@ -122,6 +122,16 @@ class MannWhitneyResult:
     p_value: float
 
 
+def _u_statistic(pos: Sequence[float], neg: Sequence[float]) -> tuple[float, np.ndarray]:
+    """U, the positive-class wins over negative-class values (ties count half), and the pooled values."""
+    if len(pos) == 0 or len(neg) == 0:
+        raise DegenerateSample("both classes need at least one value")
+    n1 = len(pos)
+    combined = np.concatenate([np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)])
+    ranks = _average_ranks(combined)
+    return float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0), combined
+
+
 def mann_whitney(pos: Sequence[float], neg: Sequence[float]) -> MannWhitneyResult:
     """Two-sided Mann-Whitney U test with average ranks for ties.
 
@@ -130,15 +140,8 @@ def mann_whitney(pos: Sequence[float], neg: Sequence[float]) -> MannWhitneyResul
     enumerating the null distribution; otherwise a normal approximation with
     tie-corrected variance and continuity correction is used.
     """
-    if len(pos) == 0 or len(neg) == 0:
-        raise DegenerateSample("both classes need at least one value")
-    a = np.asarray(pos, dtype=float)
-    b = np.asarray(neg, dtype=float)
-    n1, n2 = len(a), len(b)
-    combined = np.concatenate([a, b])
-    ranks = _average_ranks(combined)
-    u = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0)
-
+    u, combined = _u_statistic(pos, neg)
+    n1, n2 = len(pos), len(neg)
     _, counts = np.unique(combined, return_counts=True)
     has_ties = bool(np.any(counts > 1))
     if not has_ties and n1 * n2 <= EXACT_ENUMERATION_LIMIT:
@@ -163,10 +166,7 @@ def feature_auc(pos: Sequence[float], neg: Sequence[float]) -> float:
     Identical to U / (n_pos * n_neg), i.e. the probability a random positive
     outranks a random negative with ties counted half.
     """
-    if len(pos) == 0 or len(neg) == 0:
-        raise DegenerateSample("both classes need at least one value")
-    result = mann_whitney(pos, neg)
-    return result.u / (len(pos) * len(neg))
+    return _u_statistic(pos, neg)[0] / (len(pos) * len(neg))
 
 
 @dataclass

@@ -319,11 +319,13 @@ def features_stage(
             continue
         seg = campaign.segments
         dc = corpus.cumulative[period.venue_id]
-        venue_f = extract_venue_features(seg, corpus.snapshots[period.venue_id], dc.origin_ts, profile)
-        promo_f = extract_promo_features(period)
         neighbors = neighborhood(profile, index, config.radius_miles)
         t_eve = dc.origin_ts + (seg.start_day - 1) * DAY_SECONDS
-        geo_f = extract_geo_features(profile, neighbors, corpus.snapshots, t_eve)
+        values = {
+            **extract_venue_features(seg, corpus.snapshots[period.venue_id], dc.origin_ts, profile),
+            **extract_promo_features(period),
+            **extract_geo_features(profile, neighbors, corpus.snapshots, t_eve),
+        }
         for horizon in _horizons(config):
             if horizon is Horizon.LONG_TERM and not seg.long_term_eligible:
                 continue  # no window to test, so no row is missing
@@ -336,9 +338,7 @@ def features_stage(
                 start_day=seg.start_day,
                 end_day=seg.end_day,
                 horizon=horizon,
-                venue=venue_f,
-                promo=promo_f,
-                geo=geo_f,
+                values=dict(values),  # each row owns its values
                 d_observed=result.cohens_d,
                 label=result.label,
             ))

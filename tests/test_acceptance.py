@@ -294,9 +294,9 @@ def test_criterion_7_spatial_oracle():
                         expected_e -= frac * math.log(frac)
             worst_feature_gap = max(
                 worst_feature_gap,
-                abs(f.density - density),
-                abs(f.competitiveness - expected_k),
-                abs(f.entropy - expected_e),
+                abs(f["density"] - density),
+                abs(f["competitiveness"] - expected_k),
+                abs(f["entropy"] - expected_e),
             )
     check(
         7,
@@ -333,7 +333,7 @@ def test_criterion_8_model_sanity():
     rows = [row for row in crafted_features(n=300) if row.horizon is Horizon.SHORT_TERM]
     r2 = derive_rng(803)
     for row in rows:  # scramble labels: no real signal remains
-        row.venue.m_b = float(r2.normal())
+        row.values["m_b"] = float(r2.normal())
         row.label = EffectLabel.SIGNIFICANT_INCREASE if r2.random() < 0.5 else EffectLabel.POWERED_NULL
     ds = Dataset.from_rows(rows)
     null_auc = cross_validate(ds, "logistic", ("F_v",), k=10, seed=804).metrics.auc

@@ -94,3 +94,31 @@ def test_observed_fields_exist():
         "cohort.exhausted": match.exhausted_count, "cohort.unfittable": match.unfittable_count,
         "cohort.zero_removed": match.zero_removed, "models.logistic_not_converged": 0,
     }
+
+
+def test_neighbors_observer_counts_the_neighbor_argument(monkeypatch):
+    """``features.neighbors_total`` is the length of ``extract_geo_features``' second positional argument."""
+    from campaignfx import pipeline
+    from campaignfx.config import RunConfig
+    from campaignfx.features import neighborhood
+    from campaignfx.geo import RadiusIndex
+    from campaignfx.series import parse_snapshots
+    from campaignfx.synth import SynthConfig, generate_corpus_data
+
+    (owner, attr, name, observe), = [h for h in spans.HOOKS if h[1] == "extract_geo_features"]
+    data = generate_corpus_data(SynthConfig(n_venues=24, days=70, promo_fraction=0.5, seed=6))
+    corpus = pipeline.load_corpus(parse_snapshots(data.snapshot_lines()), data.offer_lines(), data.venue_lines())
+    config = RunConfig(radius_miles=5.0)
+    eligibility = pipeline.segment_stage(corpus, config)
+    tracer = spans.Tracer()
+    module = spans._resolve(owner)
+    monkeypatch.setattr(module, attr, tracer.wrap(getattr(module, attr), name, observe))
+    pipeline.features_stage(corpus, eligibility, [], config)
+
+    index = RadiusIndex(corpus.profiles)
+    profile_of = {p.venue_id: p for p in corpus.profiles}
+    expected = sum(len(neighborhood(profile_of[c.period.venue_id], index, config.radius_miles))
+                   for c in eligibility.eligible if c.period.venue_id in profile_of)
+    assert tracer.missing == []
+    assert tracer.calls[name] == len(eligibility.eligible)
+    assert tracer.counts["features.neighbors_total"] == expected > 0

@@ -21,7 +21,7 @@ from campaignfx.cohort import assign_pseudo_periods, match_reference
 from campaignfx.config import RunConfig, build_run_config
 from campaignfx.effect import EffectLabel, Horizon, TestConfig, classify_effect
 from campaignfx.errors import InvalidConfig
-from campaignfx.features import neighborhood, write_features_csv
+from campaignfx.features import neighborhood, read_features_csv, write_features_csv
 from campaignfx.learn import cross_validate
 from campaignfx.series import segment
 from campaignfx.snapcache import CACHE_NAME, read_lines
@@ -100,6 +100,12 @@ class TestRunConfig:
         with pytest.raises(InvalidConfig):
             build_run_config(file_text="alpha = 2.0", env={})
 
+    @pytest.mark.parametrize("key", ["radius_miles", "grid_deg"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_distance_rejected(self, key, value):
+        with pytest.raises(InvalidConfig, match=f"^{key} "):
+            build_run_config(overrides={key: value}, env={})
+
 
 class TestSynthCommand:
     def test_artifacts_written(self, corpus_dir):
@@ -156,6 +162,17 @@ class TestPipelineCommands:
         assert "short_term" in report["effect_tables"]
         assert (out / "feature_aucs.csv").read_text().splitlines()[0] == \
             "feature,auc_short,p_short,auc_long,p_long"
+
+    def test_features_csv_reads_back_to_its_own_text(self, corpus_dir, stage_dir, tmp_path):
+        out = tmp_path / "features"
+        assert run([
+            "features", "--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl",
+            "--venues", corpus_dir / "venues.jsonl", "--effects", stage_dir / "effects.csv",
+            "--horizon", "short", "--out", out,
+        ]) == 0
+        text = (out / "features.csv").read_text()
+        assert len(text.splitlines()) > 2
+        assert write_features_csv(read_features_csv(text)) == text
 
     def test_missing_offers_file_exits_2_without_artifacts(self, corpus_dir, tmp_path):
         out = tmp_path / "none"
@@ -419,18 +436,27 @@ class TestMalformedArtifacts:
         assert "Traceback" not in err
 
     def test_features_row_without_category(self, tmp_path, capsys):
+        """A row whose flag cells are not 0/1, or whose category is not exactly one, is rejected."""
         text = write_features_csv(crafted_features())
         header, *rows = text.splitlines()
-        cells = rows[0].split(",")
-        for i, column in enumerate(header.split(",")):
-            if column.startswith("cat_"):
-                cells[i] = "0.0"
-        features = tmp_path / "features.csv"
-        features.write_text("\n".join([header, ",".join(cells), *rows[1:]]) + "\n")
-        out = tmp_path / "models"
-        code = run(["train", "--features", features, "--folds", 5, "--out", out])
-        self.assert_rejected(capsys, code, features, 2)
-        assert not out.exists()
+        columns = header.split(",")
+        edits = {
+            "no_category": {c: "0.0" for c in columns if c.startswith("cat_")},
+            "every_category": {c: "1.0" for c in columns if c.startswith("cat_")},
+            "fractional_kind": {next(c for c in columns if c.startswith("xi_")): "0.5"},
+            "loyalty_missing_2": {"loyalty_missing": "2"},
+            "loyalty_missing_nan": {"loyalty_missing": "nan"},
+        }
+        for name, edit in edits.items():
+            cells = rows[0].split(",")
+            for i, column in enumerate(columns):
+                cells[i] = edit.get(column, cells[i])
+            features = tmp_path / f"{name}.csv"
+            features.write_text("\n".join([header, ",".join(cells), *rows[1:]]) + "\n")
+            out = tmp_path / name
+            code = run(["train", "--features", features, "--folds", 5, "--out", out])
+            self.assert_rejected(capsys, code, features, 2)
+            assert not out.exists()
 
     def test_effects_without_diff_column(self, stage_dir, tmp_path, capsys):
         effects = without_column(stage_dir / "effects.csv", tmp_path / "effects.csv", "diff")
@@ -498,7 +524,7 @@ class TestMalformedArtifacts:
 def crafted_features(n=60):
     from campaignfx.campaign import OfferKind
     from campaignfx.cohort import Category
-    from campaignfx.features import FeatureVector, GeoFeatures, PromoFeatures, VenueFeatures
+    from campaignfx.features import FeatureVector
     from campaignfx.rng import derive_rng
 
     rng = derive_rng(81)
@@ -511,21 +537,30 @@ def crafted_features(n=60):
             )
             if i % 10 == 9:
                 label = EffectLabel.INCONCLUSIVE
+            category = list(Category)[i % 9]
+            kind = list(OfferKind)[i % 7]
+            values = {
+                "m_b": float(rng.normal(3.0 if positive else 1.0, 0.8)),
+                "c_a": float(rng.uniform(50, 500)),
+                "loyalty": 1.0 + float(rng.random()),
+                "loyalty_missing": 0.0,
+                "likes": float(rng.integers(0, 50)),
+                "tips": float(rng.integers(0, 20)),
+                **{f"cat_{c.value}": 1.0 if c is category else 0.0 for c in Category},
+                "duration": float(7 + i % 10),
+                **{f"xi_{k.value}": 1.0 if k is kind else 0.0 for k in OfferKind},
+                "n_s": 0.1,
+                "density": float(i % 5),
+                "area_pop": float(rng.uniform(0, 300)),
+                "competitiveness": 0.4,
+                "entropy": 0.8,
+            }
             rows.append(FeatureVector(
                 venue_id=f"v{i:03d}",
                 start_day=30,
                 end_day=40,
                 horizon=horizon,
-                venue=VenueFeatures(
-                    m_b=float(rng.normal(3.0 if positive else 1.0, 0.8)),
-                    c_a=float(rng.uniform(50, 500)),
-                    loyalty=1.0 + float(rng.random()),
-                    likes=float(rng.integers(0, 50)),
-                    tips=float(rng.integers(0, 20)),
-                    category=list(Category)[i % 9],
-                ),
-                promo=PromoFeatures(7 + i % 10, frozenset({list(OfferKind)[i % 7]}), 0.1),
-                geo=GeoFeatures(i % 5, float(rng.uniform(0, 300)), 0.4, 0.8),
+                values=values,
                 d_observed=float(rng.normal(0.4 if positive else -0.3, 0.2)),
                 label=label,
             ))

@@ -76,6 +76,20 @@ class TestRadiusIndex:
             got = {p.venue_id for p in index.within_radius(40.0, -80.0, r)}
             assert got == self.brute_force(profiles, 40.0, -80.0, r)
 
+    def test_radii_beyond_half_the_circumference(self):
+        # spread over the whole sphere; half the circumference is pi * R ~ 12,437 miles
+        profiles = random_profiles(300, seed=6, lat0=0.0, lon0=0.0, spread=89.0)
+        profiles += [VenueProfile("antipode", Category.FOOD, -40.0, 100.0)]
+        index = RadiusIndex(profiles, cell_deg=0.5)
+        for r in (12_000.0, math.pi * EARTH_RADIUS_MILES, 13_000.0, 26_000.0, 30_000.0, 1e6, math.inf):
+            got = {p.venue_id for p in index.within_radius(40.0, -80.0, r)}
+            assert got == self.brute_force(profiles, 40.0, -80.0, r)
+        assert len(got) == len(profiles)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RadiusIndex(random_profiles(5)).within_radius(40.0, -80.0, math.nan)
+
     def test_closed_ball_includes_boundary(self):
         center = VenueProfile("c", Category.FOOD, 40.0, -80.0)
         other = VenueProfile("o", Category.FOOD, 40.1, -80.0)

@@ -121,7 +121,16 @@ class TestFeatureAuc:
             pos = r.normal(0.3, 1, int(r.integers(2, 50)))
             neg = r.normal(0.0, 1, int(r.integers(2, 50)))
             result = mann_whitney(pos, neg)
-            assert abs(feature_auc(pos, neg) - result.u / (len(pos) * len(neg))) <= 1e-12
+            assert feature_auc(pos, neg) == result.u / (len(pos) * len(neg))
+
+    def test_no_p_value_computed(self, monkeypatch):
+        import campaignfx.learn
+
+        def refuse(*args):
+            raise AssertionError("feature_auc enumerated the exact null distribution")
+
+        monkeypatch.setattr(campaignfx.learn, "_exact_two_sided_p", refuse)
+        assert feature_auc([0.9, 0.8, 0.3], [0.1, 0.4]) == 5 / 6  # tie-free and small: the exact-p case
 
     def test_monotone_transform_invariance(self):
         r = derive_rng(23)
@@ -226,17 +235,23 @@ class TestForest:
 def _row(m_b, label, d=None):
     from campaignfx.campaign import OfferKind
     from campaignfx.cohort import Category
-    from campaignfx.effect import EffectLabel, Horizon
-    from campaignfx.features import FeatureVector, GeoFeatures, PromoFeatures, VenueFeatures
+    from campaignfx.effect import Horizon
+    from campaignfx.features import FeatureVector
 
+    values = {
+        "m_b": m_b, "c_a": 10 * m_b, "loyalty": 1.5, "loyalty_missing": 0.0, "likes": 3.0, "tips": 1.0,
+        **{f"cat_{c.value}": 1.0 if c is Category.FOOD else 0.0 for c in Category},
+        "duration": 11.0,
+        **{f"xi_{k.value}": 1.0 if k is OfferKind.FREQUENCY else 0.0 for k in OfferKind},
+        "n_s": 0.1,
+        "density": 2.0, "area_pop": 50.0, "competitiveness": 0.5, "entropy": 0.3,
+    }
     return FeatureVector(
         venue_id=f"v{id(object()) % 100000}",
         start_day=30,
         end_day=40,
         horizon=Horizon.SHORT_TERM,
-        venue=VenueFeatures(m_b, 10 * m_b, 1.5, 3.0, 1.0, Category.FOOD),
-        promo=PromoFeatures(11, frozenset({OfferKind.FREQUENCY}), 0.1),
-        geo=GeoFeatures(2, 50.0, 0.5, 0.3),
+        values=values,
         d_observed=d,
         label=label,
     )
@@ -295,8 +310,8 @@ class TestDatasetMatrix:
     def test_column_by_name(self):
         rows = make_rows(12, 71)
         ds = Dataset.from_rows(rows)
-        assert ds.column("m_b").tolist() == [r.venue.m_b for r in rows]
-        assert ds.column("entropy").tolist() == [r.geo.entropy for r in rows]
+        assert ds.column("m_b").tolist() == [r.values["m_b"] for r in rows]
+        assert ds.column("entropy").tolist() == [r.values["entropy"] for r in rows]
 
 
 class TestCrossValidate:
@@ -362,8 +377,8 @@ class TestCrossValidate:
             positive = i % 2 == 0
             row = _row(float(rng.normal()),  # m_b carries no signal
                        EffectLabel.SIGNIFICANT_INCREASE if positive else EffectLabel.POWERED_NULL)
-            row.geo.density = 1 if positive else 0  # leaked label in the geo block
-            row.geo.area_pop = float(rng.uniform(0, 10))
+            row.values["density"] = 1.0 if positive else 0.0  # leaked label in the geo block
+            row.values["area_pop"] = float(rng.uniform(0, 10))
             rows.append(row)
         ds = Dataset.from_rows(rows)
         base = cross_validate(ds, "logistic", ("F_v",), k=5, seed=4).metrics.auc

@@ -105,7 +105,15 @@ class TestStages:
         assert len(rows) == len(keyed)
         for row in rows[:20]:
             assert row.label is not None
-            assert row.promo.duration >= 7
+            assert row.values["duration"] >= 7
+        # the horizons of one campaign share no values dict, so editing one row leaves the other
+        by_campaign = {}
+        for row in rows:
+            by_campaign.setdefault((row.venue_id, row.start_day), []).append(row)
+        pairs = [pair for pair in by_campaign.values() if len(pair) == 2]
+        assert pairs
+        for short, long in pairs:
+            assert short.values == long.values and short.values is not long.values
 
 
 class TestMakeTasks:
