@@ -67,6 +67,6 @@ from .series import (
     parse_snapshots,
     segment,
 )
-from .synth import SnapshotReading, SynthConfig, generate_corpus_data, oracle_expected_d
+from .synth import SnapshotReading, SynthConfig, generate_corpus_data
 
 __version__ = "0.1.0"

@@ -185,6 +185,9 @@ def write_features_csv(rows: Sequence[FeatureVector]) -> str:
 
 def _feature_row(record: dict) -> FeatureVector:
     values = {c: float(record[c]) for c in DESIGN_COLUMNS}
+    for c, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{c} is {record[c]!r}, not a finite number")
     for c in _FLAG_COLUMNS:
         if values[c] not in (0.0, 1.0):
             raise ValueError(f"{c} is {record[c]!r}, not 0 or 1")

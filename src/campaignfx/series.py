@@ -162,6 +162,26 @@ def format_timestamp(ts: float) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+_ISO_FIRST, _ISO_LAST = -30_610_224_000.0, 253_402_300_799.0  # 1000-01-01, 9999-12-31T23:59:59
+
+
+def format_timestamps(ts: np.ndarray) -> list[str]:
+    """``format_timestamp`` of each value, by numpy for whole seconds in years 1000-9999.
+
+    Any other value (fractional, out of that range, NaN or infinite) goes
+    through ``format_timestamp`` itself, and raises what it raises: that
+    rounds to whole microseconds before it truncates to seconds, and writes
+    years below 1000 unpadded, where numpy would do neither.
+    """
+    ts = np.asarray(ts, dtype=float)
+    fast = (ts >= _ISO_FIRST) & (ts <= _ISO_LAST) & (ts == np.floor(ts))  # False for NaN and ±inf
+    texts = np.datetime_as_string(ts[fast].astype(np.int64).astype("datetime64[s]"), timezone="UTC").tolist()
+    if len(texts) == len(ts):
+        return texts
+    fast_texts = iter(texts)
+    return [next(fast_texts) if ok else format_timestamp(t) for ok, t in zip(fast.tolist(), ts.tolist())]
+
+
 def parse_records(
     lines: Iterable[str], convert: Callable[[dict], object], errors: list[ParseError],
     csv_fields: Sequence[str] = (),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .campaign import OFFER_KINDS, RawOffer
 from .cohort import CATEGORIES, VenueProfile
 from .errors import InvalidConfig
 from .rng import derive_rng
-from .series import DAY_SECONDS, VenueSnapshots, format_timestamp, parse_timestamp
+from .series import DAY_SECONDS, VenueSnapshots, format_timestamp, format_timestamps, parse_timestamp
 
 WEEK_DAYS = 7.0
 
@@ -30,6 +31,9 @@ WEEK_DAYS = 7.0
 CATEGORY_WEIGHTS = np.array([0.10, 0.25, 0.20, 0.07, 0.05, 0.06, 0.08, 0.04, 0.15])
 KIND_WEIGHTS = np.array([0.10, 0.12, 0.46, 0.06, 0.08, 0.10, 0.08])
 _POLL_FIELDS = ("ts", "checkins", "users", "specials", "tips", "likes")  # a SnapshotReading after venue_id
+# json.dumps(poll, sort_keys=True) of a poll's record, its venue_id given already JSON-encoded
+_POLL_LINE = ('{"checkins": %d, "likes": %d, "specials": %d, "tips": %d, "ts": "%s", '
+              '"users": %d, "venue_id": %s}')
 
 
 @dataclass(frozen=True)
@@ -118,11 +122,14 @@ class SynthVenue:
     planted: Optional[PlantedEffect] = None
     offers: list[RawOffer] = field(default_factory=list)
 
+    def _counters(self) -> list[list[int]]:
+        """The counter columns of ``_POLL_FIELDS`` (all but ``ts``), as lists of Python ints."""
+        s = self.snapshots
+        return [c.astype(np.int64).tolist() for c in (s.checkins, s.users, self.specials, s.tips, s.likes)]
+
     def _polls(self) -> Iterator[tuple]:
         """The ``_POLL_FIELDS`` values of each poll, as Python numbers."""
-        s = self.snapshots
-        counters = (s.checkins, s.users, self.specials, s.tips, s.likes)
-        return zip(s.ts.tolist(), *(c.astype(np.int64).tolist() for c in counters))
+        return zip(self.snapshots.ts.tolist(), *self._counters())
 
     @property
     def readings(self) -> list[SnapshotReading]:
@@ -159,11 +166,14 @@ class SynthCorpus:
         return [v.profile for v in self.venues]
 
     def snapshot_lines(self) -> list[str]:
-        return [
-            json.dumps({"venue_id": venue.profile.venue_id, **dict(zip(_POLL_FIELDS, poll)),
-                        "ts": format_timestamp(poll[0])}, sort_keys=True)
-            for venue in self.venues for poll in venue._polls()
-        ]
+        """Each poll as ``json.dumps(record, sort_keys=True)`` writes it, built per venue from the columns."""
+        lines: list[str] = []
+        for venue in self.venues:
+            checkins, users, specials, tips, likes = venue._counters()
+            ts = format_timestamps(venue.snapshots.ts)
+            ids = repeat(json.dumps(venue.profile.venue_id))
+            lines += map(_POLL_LINE.__mod__, zip(checkins, likes, specials, tips, ts, users, ids))
+        return lines
 
     def offer_lines(self) -> list[str]:
         lines = []
@@ -261,52 +271,6 @@ def sample_segment_pair(
     before = rng.poisson(intensity[:n_before]).astype(float)
     during = rng.poisson(intensity[n_before:] * (1.0 + delta)).astype(float)
     return before, during
-
-
-@dataclass
-class OracleEstimate:
-    d_mean: float
-    d_se: float
-    n_valid: int
-
-
-def oracle_expected_d(
-    lam: float,
-    delta: float,
-    seasonality_amp: float,
-    n_before: int,
-    n_during: int,
-    rng: np.random.Generator,
-    n_sims: int = 100_000,
-) -> OracleEstimate:
-    """Monte-Carlo estimate of the expected observed effect size.
-
-    Simulates ``n_sims`` independent (before, during) segment pairs and
-    averages their standardized mean differences; pairs with zero pooled
-    deviation are excluded from the average.
-    """
-    if lam <= 0:
-        raise InvalidConfig("lam must be positive")
-    if n_before < 2 or n_during < 2:
-        raise InvalidConfig("segments need at least 2 days each")
-    intensity = day_intensity(lam, n_before + n_during, seasonality_amp, 0.0)
-    before = rng.poisson(intensity[:n_before], size=(n_sims, n_before)).astype(float)
-    during = rng.poisson(intensity[n_before:] * (1.0 + delta), size=(n_sims, n_during)).astype(float)
-    m1 = before.mean(axis=1)
-    m2 = during.mean(axis=1)
-    v1 = before.var(axis=1, ddof=1)
-    v2 = during.var(axis=1, ddof=1)
-    pooled = np.sqrt(((n_before - 1) * v1 + (n_during - 1) * v2) / (n_before + n_during - 2))
-    valid = pooled > 0
-    d = (m2[valid] - m1[valid]) / pooled[valid]
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        return OracleEstimate(d_mean=0.0, d_se=0.0, n_valid=0)
-    return OracleEstimate(
-        d_mean=float(d.mean()),
-        d_se=float(d.std(ddof=1) / math.sqrt(n_valid)) if n_valid > 1 else 0.0,
-        n_valid=n_valid,
-    )
 
 
 def _emit_offers(

@@ -435,8 +435,9 @@ class TestMalformedArtifacts:
         assert err.startswith(f"error: {path}: line {line_no}: ")
         assert "Traceback" not in err
 
-    def test_features_row_without_category(self, tmp_path, capsys):
-        """A row whose flag cells are not 0/1, or whose category is not exactly one, is rejected."""
+    def test_features_row_without_category(self, stage_dir, tmp_path, capsys):
+        """A row whose flag cells are not 0/1, whose category is not exactly one, or with a
+        non-finite cell is rejected by ``train`` and by ``report --features``."""
         text = write_features_csv(crafted_features())
         header, *rows = text.splitlines()
         columns = header.split(",")
@@ -446,6 +447,9 @@ class TestMalformedArtifacts:
             "fractional_kind": {next(c for c in columns if c.startswith("xi_")): "0.5"},
             "loyalty_missing_2": {"loyalty_missing": "2"},
             "loyalty_missing_nan": {"loyalty_missing": "nan"},
+            "m_b_nan": {"m_b": "nan"},
+            "m_b_inf": {"m_b": "inf"},
+            "m_b_1e999": {"m_b": "1e999"},
         }
         for name, edit in edits.items():
             cells = rows[0].split(",")
@@ -453,10 +457,12 @@ class TestMalformedArtifacts:
                 cells[i] = edit.get(column, cells[i])
             features = tmp_path / f"{name}.csv"
             features.write_text("\n".join([header, ",".join(cells), *rows[1:]]) + "\n")
-            out = tmp_path / name
-            code = run(["train", "--features", features, "--folds", 5, "--out", out])
-            self.assert_rejected(capsys, code, features, 2)
-            assert not out.exists()
+            for command in (["train", "--features", features, "--folds", 5],
+                            ["report", "--effects", stage_dir / "effects.csv", "--features", features]):
+                out = tmp_path / name / command[0]
+                code = run([*command, "--out", out])
+                self.assert_rejected(capsys, code, features, 2)
+                assert not out.exists()
 
     def test_effects_without_diff_column(self, stage_dir, tmp_path, capsys):
         effects = without_column(stage_dir / "effects.csv", tmp_path / "effects.csv", "diff")

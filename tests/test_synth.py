@@ -1,22 +1,32 @@
 import dataclasses
 import hashlib
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from campaignfx.campaign import align_offer, build_promotion_periods, parse_offers
 from campaignfx.cohort import parse_venues
 from campaignfx.errors import InvalidConfig
 from campaignfx.rng import derive_rng
-from campaignfx.series import DAY_SECONDS, daily_checkins, interpolate_daily, parse_snapshots
+from campaignfx.series import (
+    DAY_SECONDS,
+    daily_checkins,
+    format_timestamp,
+    format_timestamps,
+    interpolate_daily,
+    parse_snapshots,
+)
 from campaignfx.synth import (
     SynthConfig,
     delta_for_target_d,
     expected_effect_size,
     day_intensity,
     generate_corpus_data,
-    oracle_expected_d,
 )
 
 
@@ -257,3 +267,133 @@ class TestOracleExpectedD:
     def test_invalid_lam(self):
         with pytest.raises(InvalidConfig):
             oracle_expected_d(0.0, 0.5, 0.0, 28, 28, derive_rng(0))
+
+
+@dataclasses.dataclass
+class OracleEstimate:
+    d_mean: float
+    d_se: float
+    n_valid: int
+
+
+def oracle_expected_d(
+    lam: float,
+    delta: float,
+    seasonality_amp: float,
+    n_before: int,
+    n_during: int,
+    rng: np.random.Generator,
+    n_sims: int = 100_000,
+) -> OracleEstimate:
+    """Monte-Carlo estimate of the expected observed effect size.
+
+    Simulates ``n_sims`` independent (before, during) segment pairs and
+    averages their standardized mean differences; pairs with zero pooled
+    deviation are excluded from the average.
+    """
+    if lam <= 0:
+        raise InvalidConfig("lam must be positive")
+    if n_before < 2 or n_during < 2:
+        raise InvalidConfig("segments need at least 2 days each")
+    intensity = day_intensity(lam, n_before + n_during, seasonality_amp, 0.0)
+    before = rng.poisson(intensity[:n_before], size=(n_sims, n_before)).astype(float)
+    during = rng.poisson(intensity[n_before:] * (1.0 + delta), size=(n_sims, n_during)).astype(float)
+    m1 = before.mean(axis=1)
+    m2 = during.mean(axis=1)
+    v1 = before.var(axis=1, ddof=1)
+    v2 = during.var(axis=1, ddof=1)
+    pooled = np.sqrt(((n_before - 1) * v1 + (n_during - 1) * v2) / (n_before + n_during - 2))
+    valid = pooled > 0
+    d = (m2[valid] - m1[valid]) / pooled[valid]
+    n_valid = int(valid.sum())
+    if n_valid == 0:
+        return OracleEstimate(d_mean=0.0, d_se=0.0, n_valid=0)
+    return OracleEstimate(
+        d_mean=float(d.mean()),
+        d_se=float(d.std(ddof=1) / math.sqrt(n_valid)) if n_valid > 1 else 0.0,
+        n_valid=n_valid,
+    )
+
+
+FIRST_TS, LAST_TS = -30_610_224_000, 253_402_300_799  # 1000-01-01T00:00:00Z, 9999-12-31T23:59:59Z
+DAY = int(DAY_SECONDS)
+
+
+def _texts_or_error(fmt, ts):
+    """What ``fmt(ts)`` returns, or the type and text of what it raises; any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fmt(ts)
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            return type(exc), str(exc)
+
+
+def _reference_texts(ts):
+    return [format_timestamp(t) for t in ts.tolist()]
+
+
+whole_seconds = st.integers(FIRST_TS - DAY, LAST_TS + DAY).map(float)
+edges = st.sampled_from([FIRST_TS, LAST_TS]).flatmap(
+    lambda edge: st.integers(-2, 2).map(lambda step: edge + step + 0.0))
+fractional = st.floats(FIRST_TS - DAY, LAST_TS, allow_nan=False)
+# +-0.5 microsecond ties around whole microseconds, on both sides of the epoch
+ties = st.tuples(st.integers(-2**31, 2**31), st.integers(0, 999_999), st.sampled_from([-0.5, 0.5])).map(
+    lambda t: t[0] + (t[1] + t[2]) * 1e-6)
+
+
+class TestFormatTimestamps:
+    """``format_timestamps`` writes, or raises, what ``format_timestamp`` does value by value."""
+
+    @settings(max_examples=40)
+    @given(st.lists(st.one_of(whole_seconds, edges, fractional, ties), max_size=12))
+    def test_matches_format_timestamp(self, values):
+        ts = np.array(values, dtype=float)
+        assert _texts_or_error(format_timestamps, ts) == _texts_or_error(_reference_texts, ts)
+
+    @settings(max_examples=20)
+    @given(st.lists(st.integers(FIRST_TS, LAST_TS).map(float), min_size=1, max_size=12))
+    def test_whole_seconds_in_range_format(self, values):
+        """Every value takes the numpy path."""
+        assert format_timestamps(np.array(values)) == [format_timestamp(t) for t in values]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_as_format_timestamp(self, bad):
+        ts = np.array([0.0, bad, 86400.0])
+        expected = _texts_or_error(format_timestamp, bad)
+        assert isinstance(expected, tuple) and issubclass(expected[0], (ValueError, OverflowError))
+        assert _texts_or_error(format_timestamps, ts) == expected
+
+
+ODD_PREFIX = '"\\\u00e9\u2028%'  # a quote, a backslash, e-acute, LINE SEPARATOR and a percent sign
+poll_edits = st.lists(st.tuples(
+    st.integers(1, 61),                  # a poll between the first and the last
+    st.floats(0.0, 0.999, allow_nan=False),  # fraction of a second added to its ts
+    st.integers(0, 2**53),
+    st.integers(0, 2**53),
+    st.integers(0, 9),
+), max_size=6)
+
+
+class TestSnapshotLinesSerializer:
+    @settings(max_examples=15)
+    @given(st.lists(poll_edits, min_size=2, max_size=2))
+    def test_lines_equal_json_dumps_of_each_poll(self, edits):
+        corpus = generate_corpus_data(SynthConfig(n_venues=2, days=63, promo_fraction=0.5,
+                                                  venue_prefix=ODD_PREFIX, seed=3))
+        rows = []
+        for venue, venue_edits in zip(corpus.venues, edits):
+            readings = venue.readings
+            for i, fraction, checkins, tips, specials in venue_edits:
+                readings[i] = dataclasses.replace(readings[i], ts=readings[i].ts + fraction,
+                                                  checkins=checkins, tips=tips, specials=specials)
+            venue.readings = readings
+            rows += readings
+        expected = [
+            json.dumps({"venue_id": r.venue_id, "ts": format_timestamp(r.ts), "checkins": r.checkins,
+                        "users": r.users, "specials": r.specials, "tips": r.tips, "likes": r.likes},
+                       sort_keys=True)
+            for r in rows
+        ]
+        assert corpus.snapshot_lines() == expected
+        assert ODD_PREFIX in json.loads(expected[0])["venue_id"]
