@@ -32,7 +32,6 @@ from .effect import (
     EffectResult,
     Horizon,
     TestConfig,
-    block_resample,
     bootstrap_power,
     bootstrap_test,
     classify_effect,

@@ -92,36 +92,6 @@ def cohens_d(before: Sequence[float], other: Sequence[float]) -> Optional[float]
     return float((m2 - m1) / pooled)
 
 
-def _resample_indices(
-    n: int, block_len: int, n_draws: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Index matrix (n_draws, n) of moving-block resamples."""
-    length = min(block_len, n)
-    n_starts = n - length + 1
-    blocks_per_draw = -(-n // length)  # ceil
-    starts = rng.integers(0, n_starts, size=(n_draws, blocks_per_draw))
-    idx = starts[:, :, None] + np.arange(length)
-    return idx.reshape(n_draws, blocks_per_draw * length)[:, :n]
-
-
-def block_resample(
-    sample: Sequence[float], block_len: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One moving-block bootstrap resample of ``sample``.
-
-    Overlapping blocks of ``block_len`` observations are drawn uniformly with
-    replacement, concatenated, and truncated to the original length. A sample
-    shorter than the block length falls back to its own length.
-    """
-    values = np.asarray(sample, dtype=float)
-    if len(values) == 0:
-        raise InsufficientSample("cannot resample an empty sample")
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
-    idx = _resample_indices(len(values), block_len, 1, rng)
-    return values[idx[0]]
-
-
 def _resample_means(
     values: np.ndarray, block_len: int, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:

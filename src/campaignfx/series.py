@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import operator
 import sys
@@ -192,14 +193,22 @@ def parse_records(
     are CSV under a header naming every one of ``csv_fields``. A line fails
     when it is not a JSON object or ``convert`` raises ``KeyError`` (missing
     field), ``TypeError``, ``ValueError`` or ``OverflowError`` (a number
-    beyond float range).
+    beyond float range). ``lines`` is read once, one line at a time; only
+    the blank lines before the first other one are held, to choose the format.
     """
-    lines = list(lines)
-    if csv_fields and _sniff_format(lines) == "csv":
-        text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
-        return _convert_records(_csv_rows(text, csv_fields, errors), convert, errors)
-    records = ((line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip())
-    return _convert_records(records, convert, errors)
+    lines = iter(lines)
+    head: list[str] = []
+    if csv_fields:
+        for line in lines:
+            head.append(line)
+            if line.strip():
+                break
+    lines = itertools.chain(head, lines)
+    if head and head[-1].strip() and not head[-1].lstrip().startswith("{"):
+        records = _csv_rows(_csv_lines(lines), csv_fields, errors)
+    else:
+        records = ((line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip())
+    yield from _convert_records(records, convert, errors)
 
 
 def read_csv_table(text: str, fields: Sequence[str], convert: Callable[[dict], object]) -> list:
@@ -209,7 +218,7 @@ def read_csv_table(text: str, fields: Sequence[str], convert: Callable[[dict], o
     all: any failure raises ``ValueError`` naming the line of the first.
     """
     errors: list[ParseError] = []
-    rows = list(_convert_records(_csv_rows(text, fields, errors), convert, errors))
+    rows = list(_convert_records(_csv_rows(io.StringIO(text), fields, errors), convert, errors))
     if errors:
         raise ValueError(f"line {errors[0].line_no}: {errors[0].message}")
     return rows
@@ -246,16 +255,14 @@ def _load_json(line: str) -> object:
     return json.loads(line)  # anything else: json.loads itself gives the object or the error
 
 
-def _sniff_format(lines: Sequence[str]) -> str:
+def _csv_lines(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` as the csv reader takes them: split at each ``\\n`` and ending in one, as if joined into a file."""
     for line in lines:
-        stripped = line.strip()
-        if stripped:
-            return "jsonl" if stripped.startswith("{") else "csv"
-    return "jsonl"
+        yield from io.StringIO(line if line.endswith("\n") else line + "\n")  # splits at \n only
 
 
-def _csv_rows(text: str, fields: Sequence[str], errors: list[ParseError]):
-    reader = csv.DictReader(io.StringIO(text))
+def _csv_rows(lines: Iterable[str], fields: Sequence[str], errors: list[ParseError]):
+    reader = csv.DictReader(lines)
     missing = [name for name in fields if name not in (reader.fieldnames or ())]
     if missing:
         errors.append(ParseError(1, f"CSV header missing required columns: {', '.join(missing)}"))
@@ -336,8 +343,12 @@ def parse_snapshots(lines: Iterable[str]) -> ParseReport:
     keep = np.ones(len(codes), dtype=bool)
     keep[:-1] = (codes[1:] != codes[:-1]) | (ts[1:] != ts[:-1])  # a later poll supersedes
     report.duplicate_timestamps = len(codes) - int(np.count_nonzero(keep))
-    report.columns = table[order[keep]].T.copy()
-    bounds = np.searchsorted(codes[keep], np.arange(len(code_of) + 1)).tolist()
+    kept, codes = order[keep], codes[keep]
+    del order, ts  # freed before the block, the largest array yet, is allocated
+    report.columns = np.empty((5, len(kept)))
+    for j, column in enumerate(report.columns):  # one column at a time: no full-size temporary
+        np.take(table[:, j], kept, out=column, mode="clip")  # kept is in range; "raise" would buffer `out`
+    bounds = np.searchsorted(codes, np.arange(len(code_of) + 1)).tolist()
     report.readings = venue_columns(report.columns, code_of, bounds)
     return report
 

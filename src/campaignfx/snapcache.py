@@ -28,7 +28,7 @@ import locale
 import sys
 from pathlib import Path
 from tokenize import TokenError
-from typing import BinaryIO, Optional
+from typing import BinaryIO, Iterator, Optional
 
 import numpy as np
 
@@ -43,12 +43,29 @@ def text_encoding() -> str:
     return codecs.lookup(locale.getpreferredencoding(False)).name
 
 
-def read_lines(path: Path) -> list[str]:
+def read_lines(path: Path) -> Iterator[str]:
+    """The lines of the file at ``path``, without their ``\\n``, read one at a time.
+
+    The file is opened here, so a missing or unreadable one fails before any
+    line is read; it is closed when the lines run out or the iterator is
+    dropped. Bytes that do not decode raise ``ValueError`` naming the file.
+    """
+    lines = _lines(path)
+    next(lines)  # runs to the bare yield just after the open
+    return lines
+
+
+def _lines(path: Path) -> Iterator[str]:
     # text mode turns \r\n and \r into \n and breaks lines there only;
     # splitlines() would also break at U+0085, U+2028 and U+2029, which JSON
     # allows raw inside strings
     with path.open(encoding=text_encoding()) as f:
-        return [line.removesuffix("\n") for line in f]
+        yield
+        try:
+            for line in f:
+                yield line.removesuffix("\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def cache_key(snapshots: Path) -> bytes:

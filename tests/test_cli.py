@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import io
 import json
+import locale
 import os
 import re
 import subprocess
@@ -182,6 +183,28 @@ class TestPipelineCommands:
         ])
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, name", [
+        ("segment", "snapshots"), ("segment", "offers"),
+        ("match", "snapshots"), ("match", "offers"), ("match", "venues"),
+        ("report", "venues"),
+    ])
+    def test_undecodable_input_names_its_file(self, command, name, corpus_dir, stage_dir, tmp_path,
+                                              capsys, monkeypatch):
+        monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+        data = (corpus_dir / f"{name}.jsonl").read_bytes()
+        cut = data.index(b"\n", len(data) // 2) + 1
+        bad = tmp_path / f"{name}.jsonl"
+        bad.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        paths = {key: corpus_dir / f"{key}.jsonl" for key in ("snapshots", "offers", "venues")} | {name: bad}
+        if command == "report":
+            args = ["--effects", stage_dir / "effects.csv", "--venues", paths["venues"]]
+        else:
+            args = ["--snapshots", paths["snapshots"], "--offers", paths["offers"]]
+            args += ["--venues", paths["venues"]] if command == "match" else []
+        assert run([command, *args, "--out", tmp_path / "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
 
     def test_groups_tests_only_reference_windows(self, corpus_dir, tmp_path):
         out = tmp_path / "run"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from campaignfx.effect import (
     EffectLabel,
     Horizon,
     TestConfig,
-    _resample_indices,
     _resample_means,
-    block_resample,
     bootstrap_power,
     bootstrap_test,
     classify_effect,
@@ -76,6 +75,36 @@ class TestCohensD:
             assert shifted is None
         else:
             assert shifted == pytest.approx(base, abs=1e-9)
+
+
+def _resample_indices(
+    n: int, block_len: int, n_draws: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Index matrix (n_draws, n) of moving-block resamples: the materialized reference for ``_resample_means``."""
+    length = min(block_len, n)
+    n_starts = n - length + 1
+    blocks_per_draw = -(-n // length)  # ceil
+    starts = rng.integers(0, n_starts, size=(n_draws, blocks_per_draw))
+    idx = starts[:, :, None] + np.arange(length)
+    return idx.reshape(n_draws, blocks_per_draw * length)[:, :n]
+
+
+def block_resample(
+    sample: Sequence[float], block_len: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One moving-block bootstrap resample of ``sample``.
+
+    Overlapping blocks of ``block_len`` observations are drawn uniformly with
+    replacement, concatenated, and truncated to the original length. A sample
+    shorter than the block length falls back to its own length.
+    """
+    values = np.asarray(sample, dtype=float)
+    if len(values) == 0:
+        raise InsufficientSample("cannot resample an empty sample")
+    if block_len < 1:
+        raise ValueError("block_len must be >= 1")
+    idx = _resample_indices(len(values), block_len, 1, rng)
+    return values[idx[0]]
 
 
 class TestBlockResample:

@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import locale
+import tracemalloc
 from collections import namedtuple
 from enum import Enum
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from campaignfx.series import (
     parse_timestamp,
     segment,
 )
+from campaignfx.snapcache import read_lines
 
 from conftest import make_series, make_snapshots
 
@@ -454,3 +458,94 @@ class TestColumnarParseMatchesRowParser:
         snaps = parse_snapshots([snapshot_line(checkins=3)]).readings["v1"]
         with pytest.raises(ValueError):
             snaps.checkins[0] = 9.0
+
+
+# --- One pass over the input: a lazy iterator parses like the list of the same lines.
+
+_QUOTED_NEWLINE_ROW = '"v\n1",2012-10-22T00:00:00Z,1,1,0,0,0'
+
+
+@st.composite
+def _separator_lines(draw):
+    """JSONL lines with raw U+2028, U+2029 and U+0085 inside the venue id, where ``splitlines`` would break."""
+    return [
+        json.dumps({**obj, "venue_id": draw(st.sampled_from(["v\u2028", "\x85v", "v\u2029w", "v1"]))},
+                   ensure_ascii=False)
+        for obj in draw(st.lists(_snapshot_objects(), max_size=10))
+    ]
+
+
+@st.composite
+def _stream_cases(draw):
+    blank = draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=3))
+    kind = draw(st.sampled_from(["jsonl", "csv", "header only", "quoted newline", "separators"]))
+    if kind == "jsonl":
+        body = draw(_JSONL_LINES)
+    elif kind == "csv":
+        body = draw(_csv_lines())
+    elif kind == "header only":
+        body = [",".join(_ORACLE_FIELDS)]
+    elif kind == "quoted newline":
+        body = draw(_csv_lines())
+        at = draw(st.integers(min_value=1, max_value=len(body)))
+        # the record over two lines, or as one line that holds the newline;
+        # the malformed row after it shows which line number the next record gets
+        row = _QUOTED_NEWLINE_ROW.split("\n") if draw(st.booleans()) else [_QUOTED_NEWLINE_ROW]
+        body[at:at] = [*row, "v1,yesterday,1,1,0,0,0"]
+    else:
+        body = draw(_separator_lines())
+    if kind in ("csv", "quoted newline"):
+        return body  # a blank first line would be the header: every record after it goes unread
+    return blank + body
+
+
+def assert_same_parse(report, expected):
+    assert [(e.line_no, e.message) for e in report.errors] == [(e.line_no, e.message) for e in expected.errors]
+    assert report.duplicate_timestamps == expected.duplicate_timestamps
+    assert list(report.readings) == list(expected.readings)
+    assert report.columns.tobytes() == expected.columns.tobytes()
+
+
+class TestStreamedParse:
+    @settings(max_examples=80)
+    @given(_stream_cases())
+    def test_iterator_parses_like_the_list(self, lines):
+        assert_same_parse(parse_snapshots(iter(lines)), parse_snapshots(list(lines)))
+        TestColumnarParseMatchesRowParser()._check(lines)
+
+    @settings(max_examples=30)
+    @given(lines=st.one_of(_JSONL_LINES, _csv_lines(), _separator_lines()))
+    def test_crlf_file_through_read_lines(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("crlf") / "snapshots"
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+        with mock.patch.object(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8"):
+            assert_same_parse(parse_snapshots(read_lines(path)), parse_snapshots(lines))
+
+    @pytest.mark.parametrize("lines", [
+        ["", snapshot_line(checkins=1), "{bad", snapshot_line(ts="2012-10-23T00:00:00Z", checkins=2)],
+        [",".join(_ORACLE_FIELDS), "v1,2012-10-22T00:00:00Z,1,1,0,0,0", "", "v1,x,1,1,0,0,0"],
+    ], ids=["jsonl", "csv"])
+    def test_one_shot_iterator_read_once(self, lines):
+        reads = []
+
+        def one_shot():  # no __len__, and a second pass would see nothing
+            for line in lines:
+                reads.append(line)
+                yield line
+
+        assert_same_parse(parse_snapshots(one_shot()), parse_snapshots(lines))
+        assert reads == lines
+
+    def test_lines_are_not_held(self):
+        # 4,000 lines of ~2 KB each, from ten venues: ~8.6 MB of text that a
+        # list of the lines would hold, against ~0.2 MB of parsed columns
+        ids = [f"{i}" + "x" * 2000 for i in range(10)]
+        lines = (snapshot_line(ids[i % 10], 1350864000 + 3600 * i, i) for i in range(4000))
+        tracemalloc.start()
+        try:
+            report = parse_snapshots(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(report.readings), report.columns.shape) == (10, (5, 4000))
+        assert peak < 2_000_000
