@@ -11,8 +11,8 @@ block starts a resample mean of the raw sample is the centered one plus the
 sample mean (Künsch, 1989), so the shifted draws are the uncentered
 (alternative-hypothesis) distribution. Power is the share of them outside the
 null critical interval; the interval is the critical interval shifted. One
-pass of ``bootstrap_test`` returns all three; ``bootstrap_power`` and
-``evaluate_effect`` read its result.
+pass of ``bootstrap_test`` returns all three; ``evaluate_effect`` reads its
+result.
 """
 
 from __future__ import annotations
@@ -182,19 +182,6 @@ def bootstrap_test(
     alt = deltas + diff_obs
     power = float(np.count_nonzero((alt < crit_low) | (alt > crit_high)) / bootstraps)
     return BootstrapTest(diff_obs, (1 + exceed) / (bootstraps + 1), crit_low, crit_high, power)
-
-
-def bootstrap_power(
-    before: Sequence[float],
-    other: Sequence[float],
-    *,
-    bootstraps: int = DEFAULT_BOOTSTRAPS,
-    alpha: float = DEFAULT_ALPHA,
-    block_len: int = DEFAULT_BLOCK_LEN,
-    rng: np.random.Generator,
-) -> float:
-    """The power of :func:`bootstrap_test` on the same arguments."""
-    return bootstrap_test(before, other, bootstraps=bootstraps, alpha=alpha, block_len=block_len, rng=rng).power
 
 
 def classify_effect(

@@ -50,12 +50,8 @@ class RadiusIndex(Generic[T]):
             raise ValueError("cell_deg must be positive")
         self.cell_deg = cell_deg
         self._cells: dict[tuple[int, int], list[T]] = {}
-        self._items = list(items)
-        for item in self._items:
+        for item in items:
             self._cells.setdefault(grid_cell(item.lat, item.lon, cell_deg), []).append(item)
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def within_radius(self, lat: float, lon: float, r_miles: float) -> list[T]:
         """All items at haversine distance <= ``r_miles`` from the point."""

@@ -92,16 +92,6 @@ class LogisticModel:
         """Indices of the constant columns the fit left out."""
         return sorted(set(range(self.n_features)) - set(self.scaler.kept.tolist()))
 
-    def coefficients_original_scale(self) -> tuple[np.ndarray, float]:
-        """Weights and intercept mapped back to unscaled feature units.
-
-        Dropped (constant) columns get coefficient zero.
-        """
-        coef = np.zeros(self.n_features)
-        coef[self.scaler.kept] = self.weights / self.scaler.sds
-        intercept = self.intercept - float(np.sum(self.weights * self.scaler.means / self.scaler.sds))
-        return coef, intercept
-
 
 def _penalized_nll(Xs, y, w, b, l2):
     z = Xs @ w + b

@@ -190,11 +190,12 @@ def parse_records(
     """``convert`` of each JSONL record, lazily; each bad line is appended to ``errors`` and skipped.
 
     With ``csv_fields``, lines whose first non-blank one is not a JSON object
-    are CSV under a header naming every one of ``csv_fields``. A line fails
-    when it is not a JSON object or ``convert`` raises ``KeyError`` (missing
-    field), ``TypeError``, ``ValueError`` or ``OverflowError`` (a number
-    beyond float range). ``lines`` is read once, one line at a time; only
-    the blank lines before the first other one are held, to choose the format.
+    are CSV with that line as the header, which must name every one of
+    ``csv_fields``. A line fails when it is not a JSON object or ``convert``
+    raises ``KeyError`` (missing field), ``TypeError``, ``ValueError`` or
+    ``OverflowError`` (a number beyond float range). ``lines`` is read once,
+    one line at a time; only the blank lines before the first other one are
+    held, to choose the format.
     """
     lines = iter(lines)
     head: list[str] = []
@@ -203,10 +204,12 @@ def parse_records(
             head.append(line)
             if line.strip():
                 break
-    lines = itertools.chain(head, lines)
     if head and head[-1].strip() and not head[-1].lstrip().startswith("{"):
-        records = _csv_rows(_csv_lines(lines), csv_fields, errors)
+        # the header is the first non-blank line; line numbers still count the blank ones before it
+        skipped = sum(1 for _ in _csv_lines(head[:-1]))
+        records = _csv_rows(_csv_lines(itertools.chain(head[-1:], lines)), csv_fields, errors, skipped)
     else:
+        lines = itertools.chain(head, lines)
         records = ((line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip())
     yield from _convert_records(records, convert, errors)
 
@@ -261,14 +264,15 @@ def _csv_lines(lines: Iterable[str]) -> Iterator[str]:
         yield from io.StringIO(line if line.endswith("\n") else line + "\n")  # splits at \n only
 
 
-def _csv_rows(lines: Iterable[str], fields: Sequence[str], errors: list[ParseError]):
+def _csv_rows(lines: Iterable[str], fields: Sequence[str], errors: list[ParseError], skipped: int = 0):
+    """``(line_no, row)`` of each CSV record in ``lines``, which start ``skipped`` lines into the input."""
     reader = csv.DictReader(lines)
     missing = [name for name in fields if name not in (reader.fieldnames or ())]
     if missing:
-        errors.append(ParseError(1, f"CSV header missing required columns: {', '.join(missing)}"))
+        errors.append(ParseError(skipped + 1, f"CSV header missing required columns: {', '.join(missing)}"))
         return
     for row in reader:  # line_num: the line the record ends on, blank lines and quoted newlines counted
-        yield reader.line_num, {k: v for k, v in row.items() if k is not None}
+        yield skipped + reader.line_num, {k: v for k, v in row.items() if k is not None}
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -28,6 +28,18 @@ def make_snapshots(ts, checkins, users=None, tips=None, likes=None, venue_id="v1
     return VenueSnapshots(venue_id, *(np.asarray(c, dtype=float) for c in columns))
 
 
+def logistic_coefficients(model) -> tuple[np.ndarray, float]:
+    """A fitted ``LogisticModel``'s weights and intercept in unscaled feature units.
+
+    Dropped (constant) columns get coefficient zero.
+    """
+    scaler = model.scaler
+    coef = np.zeros(model.n_features)
+    coef[scaler.kept] = model.weights / scaler.sds
+    intercept = model.intercept - float(np.sum(model.weights * scaler.means / scaler.sds))
+    return coef, intercept
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -20,7 +20,6 @@ from campaignfx.effect import (
     EffectLabel,
     Horizon,
     TestConfig,
-    bootstrap_power,
     bootstrap_test,
     classify_effect,
     cohens_d,
@@ -46,6 +45,8 @@ from campaignfx.synth import (
     generate_corpus_data,
     sample_segment_pair,
 )
+
+from conftest import logistic_coefficients
 
 
 def check(criterion: int, ok: bool, detail: str) -> None:
@@ -313,7 +314,7 @@ def test_criterion_8_model_sanity():
     x = r.normal(0.0, 1.0, n)
     y = (r.random(n) < 1.0 / (1.0 + np.exp(-(0.8 * x - 0.3)))).astype(float)
     model = train_logistic(x.reshape(-1, 1), y)
-    coef, intercept = model.coefficients_original_scale()
+    coef, intercept = logistic_coefficients(model)
     recovery_ok = abs(coef[0] - 0.8) <= 0.05 and abs(intercept + 0.3) <= 0.05
 
     xs = np.array([[v] for v in (-3.0, -2.0, -1.5, -1.0, 1.0, 1.5, 2.0, 3.0)])
@@ -407,7 +408,7 @@ def test_criterion_10_throughput():
     before, during = sample_segment_pair(3.0, 0.2, 28, 28, derive_rng(1000, "pair"))
     start = time.perf_counter()
     bootstrap_test(before, during, rng=derive_rng(1000, "t"))
-    bootstrap_power(before, during, rng=derive_rng(1000, "p"))
+    bootstrap_test(before, during, rng=derive_rng(1000, "p")).power
     pair_ms = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()

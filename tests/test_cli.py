@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import inspect
 import io
+import itertools
 import json
 import locale
 import os
@@ -785,6 +786,46 @@ class TestSnapshotParseCache:
         reads.clear()
         assert run(test) == 0
         assert (calls["load_corpus"], calls["parse_snapshots"]) == (1, 0) and snapshots not in reads
+
+
+def snapshot_forms(jsonl: str) -> dict[str, str]:
+    """The polls of a JSONL snapshot file, in four forms that must parse alike.
+
+    JSONL as given; its lines interleaved across venues, each venue's own
+    order kept; CSV; and that CSV after two blank lines.
+    """
+    lines = jsonl.splitlines()
+    records = [json.loads(line) for line in lines]
+    per_venue = collections.defaultdict(list)
+    for line, record in zip(lines, records):
+        per_venue[record["venue_id"]].append(line)
+    interleaved = [line for turn in itertools.zip_longest(*per_venue.values()) for line in turn if line]
+    fields = ["venue_id", "ts", "checkins", "users", "specials", "tips", "likes"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([record[name] for name in fields] for record in records)
+    return {
+        "jsonl": jsonl,
+        "interleaved": "".join(line + "\n" for line in interleaved),
+        "csv": buf.getvalue(),
+        "csv after blank lines": "\n \n" + buf.getvalue(),
+    }
+
+
+def test_snapshot_forms_write_the_same_artifacts(corpus_dir, tmp_path, capsys):
+    """Each stage command, parsing each form afresh, writes the same bytes and warnings as on JSONL."""
+    outcomes = {}
+    for form, text in snapshot_forms((corpus_dir / "snapshots.jsonl").read_text()).items():
+        snapshots, out = tmp_path / form / "snapshots", tmp_path / form / "out"
+        snapshots.parent.mkdir()
+        snapshots.write_text(text)
+        got = run_stages(corpus_dir, snapshots, out, capsys, lambda i: (out / CACHE_NAME).unlink(missing_ok=True))
+        outcomes[form] = [(code, err.replace(str(snapshots), "<snapshots>"), files) for code, err, files in got]
+    assert [code for code, _, _ in outcomes["jsonl"]] == [0] * 5
+    assert len(outcomes["jsonl"][-1][2]) == 7  # every stage artifact, from campaigns.csv to features.csv
+    for form in ("interleaved", "csv", "csv after blank lines"):
+        assert outcomes[form] == outcomes["jsonl"], form
 
 
 @pytest.fixture(scope="module")

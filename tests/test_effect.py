@@ -13,7 +13,6 @@ from campaignfx.effect import (
     Horizon,
     TestConfig,
     _resample_means,
-    bootstrap_power,
     bootstrap_test,
     classify_effect,
     cohens_d,
@@ -134,7 +133,6 @@ class TestBlockResample:
 
 ENTRY_POINTS = {
     "bootstrap_test": lambda a, b: bootstrap_test(a, b, rng=derive_rng(0)),
-    "bootstrap_power": lambda a, b: bootstrap_power(a, b, rng=derive_rng(0)),
     "evaluate_effect": lambda a, b: evaluate_effect(a, b, Horizon.SHORT_TERM, TestConfig(), derive_rng(0)),
 }
 
@@ -192,7 +190,7 @@ class TestBootstrapPower:
     def test_huge_shift_full_power(self):
         before = derive_rng(3).normal(0.0, 1.0, 28)
         other = derive_rng(4).normal(100.0, 1.0, 28)
-        power = bootstrap_power(before, other, rng=derive_rng(0, "pw"))
+        power = bootstrap_test(before, other, rng=derive_rng(0, "pw")).power
         assert power >= 0.99
 
     def test_same_data_power_near_alpha(self):
@@ -200,12 +198,12 @@ class TestBootstrapPower:
         runs = 40
         for i in range(runs):
             x = derive_rng(6, i).poisson(5.0, 28).astype(float)
-            total += bootstrap_power(x, x.copy(), bootstraps=999, rng=derive_rng(6, "pw", i))
+            total += bootstrap_test(x, x.copy(), bootstraps=999, rng=derive_rng(6, "pw", i)).power
         assert total / runs == pytest.approx(0.05, abs=0.03)
 
     def test_degenerate_all_zero(self):
         zeros = np.zeros(28)
-        power = bootstrap_power(zeros, zeros.copy(), rng=derive_rng(0, "z"))
+        power = bootstrap_test(zeros, zeros.copy(), rng=derive_rng(0, "z")).power
         assert power == 0.0
 
 
@@ -319,11 +317,10 @@ class TestBootstrapKernel:
         config = TestConfig(bootstraps=199, block_len=block_len)
         res = evaluate_effect(before, other, Horizon.SHORT_TERM, config, derive_rng(seed))
         null = bootstrap_test(before, other, bootstraps=199, block_len=block_len, rng=derive_rng(seed))
-        power = bootstrap_power(before, other, bootstraps=199, block_len=block_len, rng=derive_rng(seed))
         assert res.p_value == null.p_value
         assert res.diff == null.diff
         assert (res.ci_low, res.ci_high) == (null.crit_low + null.diff, null.crit_high + null.diff)
-        assert res.power == power == null.power
+        assert res.power == null.power
 
     @given(
         st.sampled_from([4, 8, 16, 32, 64]),

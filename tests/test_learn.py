@@ -17,6 +17,8 @@ from campaignfx.learn import (
 )
 from campaignfx.rng import derive_rng
 
+from conftest import logistic_coefficients
+
 
 def auc_brute_force(pos, neg):
     """Pairwise win counting: wins plus half ties over all pairs."""
@@ -159,7 +161,7 @@ class TestLogistic:
         logit = 0.8 * x - 0.3
         y = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(float)
         model = train_logistic(x.reshape(-1, 1), y)
-        coef, intercept = model.coefficients_original_scale()
+        coef, intercept = logistic_coefficients(model)
         assert coef[0] == pytest.approx(0.8, abs=0.05)
         assert intercept == pytest.approx(-0.3, abs=0.05)
         assert model.converged
@@ -171,7 +173,7 @@ class TestLogistic:
         model = train_logistic(X, y)
         assert model.dropped == [1]
         assert model.predict_proba(X).shape == (200,)
-        coef, _ = model.coefficients_original_scale()
+        coef, _ = logistic_coefficients(model)
         assert coef[1] == 0.0
 
     def test_all_constant_raises(self):

@@ -90,6 +90,17 @@ class TestParseSnapshots:
         assert report.errors == []
         assert list(report.readings["v1"].checkins) == [3, 5]
 
+    def test_csv_after_leading_blank_lines(self):
+        """The header is the first non-blank line; line numbers count the blank lines before it."""
+        header = "venue_id,ts,checkins,users,specials,tips,likes"
+        rows = ["v1,2012-10-22T00:00:00Z,3,1,0,0,0", "v1,2012-10-23T00:00:00Z,5,2,0,1,1", "v1,x,1,1,0,0,0"]
+        report = parse_snapshots(["", " ", header, *rows])
+        assert list(report.readings["v1"].checkins) == [3, 5]
+        assert [e.line_no for e in report.errors] == [6]
+        report = parse_snapshots(["", "venue_id,ts", *rows])
+        assert [(e.line_no, e.message) for e in report.errors] == [
+            (2, "CSV header missing required columns: checkins, users, specials, tips, likes")]
+
 
 ID_PARSERS = {
     "snapshots": (parse_snapshots, json.loads(snapshot_line()), "readings"),
@@ -311,13 +322,15 @@ def _oracle_records(lines, errors):
                 continue
             yield line_no, obj
     else:
-        reader = csv.DictReader(io.StringIO("".join(line if line.endswith("\n") else line + "\n" for line in lines)))
+        skipped = next(i for i, line in enumerate(lines) if line.strip())  # the header is the first non-blank line
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in lines[skipped:])
+        reader = csv.DictReader(io.StringIO(text))
         missing = [name for name in _ORACLE_FIELDS if name not in (reader.fieldnames or ())]
         if missing:
-            errors.append((1, f"CSV header missing required columns: {', '.join(missing)}"))
+            errors.append((skipped + 1, f"CSV header missing required columns: {', '.join(missing)}"))
             return
         for row in reader:
-            yield reader.line_num, {k: v for k, v in row.items() if k is not None}
+            yield skipped + reader.line_num, {k: v for k, v in row.items() if k is not None}
 
 
 def oracle_parse(lines):
@@ -494,8 +507,6 @@ def _stream_cases(draw):
         body[at:at] = [*row, "v1,yesterday,1,1,0,0,0"]
     else:
         body = draw(_separator_lines())
-    if kind in ("csv", "quoted newline"):
-        return body  # a blank first line would be the header: every record after it goes unread
     return blank + body
 
 
