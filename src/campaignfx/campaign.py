@@ -16,6 +16,7 @@ from .series import (
     MIN_CAMPAIGN_DAYS,
     ParseError,
     SegmentedSeries,
+    first_by_id,
     parse_records,
     parse_timestamp,
     record_id,
@@ -107,9 +108,9 @@ def _offer(obj: dict) -> RawOffer:
 
 
 def parse_offers(lines: Iterable[str]) -> OfferParseReport:
-    """Parse offer JSONL records; malformed lines are recorded and skipped."""
+    """Parse offer JSONL records; malformed lines (a repeated ``special_id`` among them) are recorded and skipped."""
     report = OfferParseReport()
-    report.offers = list(parse_records(lines, _offer, report.errors))
+    report.offers = list(parse_records(lines, first_by_id(_offer, "special_id"), report.errors))
     return report
 
 

@@ -21,7 +21,8 @@ from .effect import EffectLabel, EffectResult, linear_quantiles
 from .errors import EmptyDenominator, IneligibleCampaign
 from .geo import grid_cell
 from .rng import derive_rng
-from .series import BEFORE_DAYS, MIN_CAMPAIGN_DAYS, DailySeries, ParseError, parse_records, record_id, segment
+from .series import (BEFORE_DAYS, MIN_CAMPAIGN_DAYS, DailySeries, ParseError, first_by_id, parse_records,
+                     record_id, segment)
 
 MATCH_CELL_DEG = 0.1
 N_REFERENCE_GROUPS = 20
@@ -74,9 +75,9 @@ def _venue_profile(obj: dict) -> VenueProfile:
 
 
 def parse_venues(lines: Iterable[str]) -> VenueParseReport:
-    """Parse venue-profile JSONL, skipping and recording malformed lines."""
+    """Parse venue-profile JSONL, skipping and recording malformed lines (a repeated ``venue_id`` among them)."""
     report = VenueParseReport()
-    report.profiles = list(parse_records(lines, _venue_profile, report.errors))
+    report.profiles = list(parse_records(lines, first_by_id(_venue_profile, "venue_id"), report.errors))
     return report
 
 

@@ -46,16 +46,17 @@ class FeatureVector:
 def extract_venue_features(
     segments: SegmentedSeries,
     snapshots: VenueSnapshots,
-    origin_ts: float,
     profile: VenueProfile,
 ) -> dict[str, float]:
     """Venue features evaluated at the day before the campaign starts.
 
-    A venue that never recorded a user gets ``loyalty = LOYALTY_IMPUTED``
-    and ``loyalty_missing = 1``.
+    Day 0 starts at the venue's first reading. A venue that never recorded a
+    user gets ``loyalty = LOYALTY_IMPUTED`` and ``loyalty_missing = 1``.
     """
-    t_eve = origin_ts + (segments.start_day - 1) * DAY_SECONDS
-    if not snapshots or not snapshots.ts[0] <= t_eve <= snapshots.ts[-1]:
+    if not snapshots:
+        raise MissingCounter(f"no snapshots for {profile.venue_id}")
+    t_eve = snapshots.ts[0] + (segments.start_day - 1) * DAY_SECONDS
+    if not snapshots.ts[0] <= t_eve <= snapshots.ts[-1]:
         raise MissingCounter(f"no counter coverage at campaign eve for {profile.venue_id}")
     checkins = counter_at(snapshots, "checkins", t_eve)
     users = counter_at(snapshots, "users", t_eve)

@@ -83,37 +83,29 @@ class Dataset:
         return len(self.rows) - self.n_positive
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    cum = np.cumsum(counts)
-    avg = cum - (counts - 1) / 2.0
-    return avg[inverse]
+def _null_counts(n1: int, n2: int) -> np.ndarray:
+    """``counts[u]``, the number of rank arrangements of tie-free samples with statistic ``u``.
+
+    They are the coefficients of the Gaussian binomial ``[n1 + n2 choose n1]_q``, the product over
+    ``i = 1 .. n1`` of ``(1 - q**(n2 + i)) / (1 - q**i)``: whole numbers below 2**53, so exact in float.
+    A coefficient never depends on higher ones, so the padding past ``n1 * n2`` cannot reach them.
+    """
+    n1, n2 = sorted((n1, n2))  # the product is symmetric in n1 and n2: take the fewer factors
+    length = n1 * n2 + 1
+    counts = np.zeros(length + n1)  # room to round ``length`` up to a multiple of each i
+    counts[0] = 1.0
+    for i in range(1, n1 + 1):
+        counts[n2 + i:] -= counts[: -(n2 + i)]  # times 1 - q**(n2 + i)
+        block = counts[: -(-length // i) * i].reshape(-1, i)  # divided by 1 - q**i: a running sum
+        np.cumsum(block, axis=0, out=block)  # within each residue class mod i
+    return counts[:length]
 
 
 def _exact_two_sided_p(u: float, n1: int, n2: int) -> float:
-    """Exact p for tie-free samples from the U-count recurrence.
-
-    ``counts[u]`` is the number of rank arrangements with statistic ``u``:
-    ``f(u; m, n) = f(u - n; m - 1, n) + f(u; m, n - 1)``, i.e. partitions of
-    ``u`` into at most ``n1`` parts, each at most ``n2``.
-    """
-    max_u = n1 * n2
-    prev_row = [np.zeros(max_u + 1) for _ in range(n2 + 1)]
-    for arr in prev_row:
-        arr[0] = 1.0  # m = 0: only u = 0 is achievable
-    for _m in range(1, n1 + 1):
-        cur_row = [np.zeros(max_u + 1) for _ in range(n2 + 1)]
-        cur_row[0][0] = 1.0
-        for nn in range(1, n2 + 1):
-            arr = cur_row[nn - 1].copy()
-            arr[nn:] += prev_row[nn][: max_u + 1 - nn]
-            cur_row[nn] = arr
-        prev_row = cur_row
-    counts = prev_row[n2]
-    total = counts.sum()
-    u_small = min(u, max_u - u)
-    tail = counts[: int(math.floor(u_small)) + 1].sum()
-    return float(min(1.0, 2.0 * tail / total))
+    """Exact p for tie-free samples from the null counts of U."""
+    counts = _null_counts(n1, n2)
+    tail = counts[: int(math.floor(min(u, n1 * n2 - u))) + 1].sum()
+    return float(min(1.0, 2.0 * tail / counts.sum()))
 
 
 @dataclass
@@ -123,28 +115,27 @@ class MannWhitneyResult:
 
 
 def _u_statistic(pos: Sequence[float], neg: Sequence[float]) -> tuple[float, np.ndarray]:
-    """U, the positive-class wins over negative-class values (ties count half), and the pooled values."""
+    """U, the positive-class wins over negative-class values (ties count half), and the pooled tie counts."""
     if len(pos) == 0 or len(neg) == 0:
         raise DegenerateSample("both classes need at least one value")
     n1 = len(pos)
     combined = np.concatenate([np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)])
-    ranks = _average_ranks(combined)
-    return float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0), combined
+    _, inverse, counts = np.unique(combined, return_inverse=True, return_counts=True)
+    average_ranks = np.cumsum(counts) - (counts - 1) / 2.0
+    return float(average_ranks[inverse[:n1]].sum() - n1 * (n1 + 1) / 2.0), counts
 
 
 def mann_whitney(pos: Sequence[float], neg: Sequence[float]) -> MannWhitneyResult:
     """Two-sided Mann-Whitney U test with average ranks for ties.
 
     The statistic counts positive-class wins over negative-class values
-    (ties count half). Tie-free samples small enough get an exact p-value by
-    enumerating the null distribution; otherwise a normal approximation with
+    (ties count half). Tie-free samples small enough get an exact p-value from
+    the null distribution of U; otherwise a normal approximation with
     tie-corrected variance and continuity correction is used.
     """
-    u, combined = _u_statistic(pos, neg)
+    u, counts = _u_statistic(pos, neg)
     n1, n2 = len(pos), len(neg)
-    _, counts = np.unique(combined, return_counts=True)
-    has_ties = bool(np.any(counts > 1))
-    if not has_ties and n1 * n2 <= EXACT_ENUMERATION_LIMIT:
+    if counts.max() == 1 and n1 * n2 <= EXACT_ENUMERATION_LIMIT:  # tie-free and small
         return MannWhitneyResult(u=u, p_value=_exact_two_sided_p(u, n1, n2))
 
     n = n1 + n2

@@ -60,7 +60,7 @@ _UNPLACED = "offers skipped: venue has no usable daily series"
 @dataclass
 class LoadedCorpus:
     snapshots: dict[str, VenueSnapshots]
-    cumulative: dict[str, DailyCumulative]
+    cumulative: dict[str, DailyCumulative]  # read only by perfbench's observer (ROADMAP item 3 moves it)
     series: dict[str, DailySeries]
     periods: list[PromotionPeriod]
     profiles: list[VenueProfile]
@@ -70,7 +70,7 @@ class LoadedCorpus:
     drops: Drops = field(default_factory=dict)  # what loading and the stages run on it skipped
 
     @property
-    def short_series_venues(self) -> list[str]:
+    def short_series_venues(self) -> list[str]:  # read only by perfbench's observer (ROADMAP item 3 moves it)
         return self.drops.get(_SHORT_SERIES, [])
 
 
@@ -97,11 +97,10 @@ def build_corpus(
         series[venue_id] = ds
     offers_by_venue: dict[str, list[SpecialOffer]] = {}
     for raw in raw_offers:
-        dc = cumulative.get(raw.venue_id)
-        if dc is None:
+        if raw.venue_id not in series:
             drops[_UNPLACED].append(raw.special_id)
             continue
-        offers_by_venue.setdefault(raw.venue_id, []).append(align_offer(raw, dc.origin_ts))
+        offers_by_venue.setdefault(raw.venue_id, []).append(align_offer(raw, snapshots[raw.venue_id].ts[0]))
     periods: list[PromotionPeriod] = []
     for venue_id in sorted(offers_by_venue):
         periods.extend(build_promotion_periods(offers_by_venue[venue_id]))
@@ -318,11 +317,11 @@ def features_stage(
             no_profile.append(period.venue_id)
             continue
         seg = campaign.segments
-        dc = corpus.cumulative[period.venue_id]
+        snapshots = corpus.snapshots[period.venue_id]
         neighbors = neighborhood(profile, index, config.radius_miles)
-        t_eve = dc.origin_ts + (seg.start_day - 1) * DAY_SECONDS
+        t_eve = snapshots.ts[0] + (seg.start_day - 1) * DAY_SECONDS  # day 0 starts at the first reading
         values = {
-            **extract_venue_features(seg, corpus.snapshots[period.venue_id], dc.origin_ts, profile),
+            **extract_venue_features(seg, snapshots, profile),
             **extract_promo_features(period),
             **extract_geo_features(profile, neighbors, corpus.snapshots, t_eve),
         }

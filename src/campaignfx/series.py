@@ -9,10 +9,10 @@ anchored at each venue's first observation, first-differences the
 cumulative check-in counter into daily counts, and slices those counts into
 before / during / after windows around a campaign.
 
-Day-index convention: grid point ``g`` sits at ``origin_ts + g * 86400``
-seconds. The daily value labelled day ``d`` is the accrual over the grid
-window ``[d, d+1)``, i.e. ``values[d]`` of a ``DailySeries``. Campaign day
-indices use the same labels.
+Day-index convention: day 0 starts at ``snapshots.ts[0]``, and grid point
+``g`` sits ``g * 86400`` seconds after it. The daily value labelled day ``d``
+is the accrual over the grid window ``[d, d+1)``, i.e. ``values[d]`` of a
+``DailySeries``. Campaign day indices use the same labels.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class DailyCumulative:
     """Cumulative check-ins interpolated onto an exact 24h grid."""
 
     venue_id: str
-    origin_ts: float
-    values: np.ndarray
+    values: np.ndarray  # values[g] is the cumulative count at grid point g
     anomaly_count: int = 0
 
 
@@ -139,6 +138,18 @@ def record_id(value: object, name: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{name} must be a non-empty string")
     return value
+
+
+def first_by_id(convert: Callable[[dict], object], name: str) -> Callable[[dict], object]:
+    """``convert``, but a record whose id field ``name`` repeats an earlier record's raises ``ValueError``."""
+    first: dict[str, object] = {}  # id -> the value converted from its first record
+
+    def converted(obj: dict) -> object:
+        value = convert(obj)
+        if first.setdefault(obj[name], value) is not value:
+            raise ValueError(f"repeated {name} {obj[name]!r}")
+        return value
+    return converted
 
 
 def parse_timestamp(raw: object) -> float:
@@ -387,13 +398,7 @@ def interpolate_daily(snapshots: VenueSnapshots) -> DailyCumulative:
 
     n_days = int((ts[-1] - origin) // DAY_SECONDS) + 1
     grid = origin + DAY_SECONDS * np.arange(n_days)
-    values = np.interp(grid, ts, clamped)
-    return DailyCumulative(
-        venue_id=snapshots.venue_id,
-        origin_ts=origin,
-        values=values,
-        anomaly_count=anomalies,
-    )
+    return DailyCumulative(venue_id=snapshots.venue_id, values=np.interp(grid, ts, clamped), anomaly_count=anomalies)
 
 
 def daily_checkins(dc: DailyCumulative) -> DailySeries:

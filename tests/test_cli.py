@@ -789,10 +789,11 @@ class TestSnapshotParseCache:
 
 
 def snapshot_forms(jsonl: str) -> dict[str, str]:
-    """The polls of a JSONL snapshot file, in four forms that must parse alike.
+    """The polls of a JSONL snapshot file, in seven forms that must parse alike.
 
-    JSONL as given; its lines interleaved across venues, each venue's own
-    order kept; CSV; and that CSV after two blank lines.
+    JSONL as given, with ``\\r\\n`` endings, and with a blank line after every
+    record; its lines interleaved across venues, each venue's own order kept;
+    CSV; that CSV after two blank lines; and that CSV with ``\\r\\n`` endings.
     """
     lines = jsonl.splitlines()
     records = [json.loads(line) for line in lines]
@@ -807,9 +808,12 @@ def snapshot_forms(jsonl: str) -> dict[str, str]:
     writer.writerows([record[name] for name in fields] for record in records)
     return {
         "jsonl": jsonl,
+        "jsonl crlf": "".join(line + "\r\n" for line in lines),
+        "jsonl blank lines": "".join(line + "\n\n" for line in lines),
         "interleaved": "".join(line + "\n" for line in interleaved),
         "csv": buf.getvalue(),
         "csv after blank lines": "\n \n" + buf.getvalue(),
+        "csv crlf": buf.getvalue().replace("\n", "\r\n"),
     }
 
 
@@ -824,7 +828,8 @@ def test_snapshot_forms_write_the_same_artifacts(corpus_dir, tmp_path, capsys):
         outcomes[form] = [(code, err.replace(str(snapshots), "<snapshots>"), files) for code, err, files in got]
     assert [code for code, _, _ in outcomes["jsonl"]] == [0] * 5
     assert len(outcomes["jsonl"][-1][2]) == 7  # every stage artifact, from campaigns.csv to features.csv
-    for form in ("interleaved", "csv", "csv after blank lines"):
+    assert len(outcomes) == 7
+    for form in outcomes:
         assert outcomes[form] == outcomes["jsonl"], form
 
 

@@ -50,26 +50,26 @@ class TestVenueFeatures:
         return make_snapshots([0.0, 60 * DAY], [0, 120], users=[0, 48], tips=[0, 12], likes=[0, 30])
 
     def test_constant_before_mean(self):
-        f = extract_venue_features(segments(before_value=2.0), self.base_snapshots(), 0.0, profile())
+        f = extract_venue_features(segments(before_value=2.0), self.base_snapshots(), profile())
         assert f["m_b"] == pytest.approx(2.0)
 
     def test_loyalty_arithmetic(self):
         # counters grow linearly: at day 29 c_a = 58, p_a = 23.2 -> ratio 2.5
-        f = extract_venue_features(segments(), self.base_snapshots(), 0.0, profile())
+        f = extract_venue_features(segments(), self.base_snapshots(), profile())
         assert f["loyalty"] == pytest.approx(f["c_a"] / (f["c_a"] / 2.5))
         assert f["c_a"] == pytest.approx(58.0)
         assert f["loyalty_missing"] == 0.0
 
     def test_zero_users_loyalty_missing(self):
         snaps = make_snapshots([0.0, 60 * DAY], [0, 50])
-        f = extract_venue_features(segments(), snaps, 0.0, profile())
+        f = extract_venue_features(segments(), snaps, profile())
         assert f["loyalty"] == 1.0  # imputed
         assert f["loyalty_missing"] == 1.0
 
     def test_counters_must_cover_campaign_eve(self):
         snaps = make_snapshots([0.0, 10 * DAY], [0, 5])
         with pytest.raises(MissingCounter):
-            extract_venue_features(segments(start=30), snaps, 0.0, profile())
+            extract_venue_features(segments(start=30), snaps, profile())
 
 
 class TestPromoFeatures:
@@ -248,7 +248,7 @@ class TestMatrixAndCsv:
 class TestExtractorLayout:
     def test_each_extractor_returns_its_family_columns(self):
         snaps = make_snapshots([0.0, 60 * DAY], [0, 120], users=[0, 48], tips=[0, 12], likes=[0, 30])
-        venue = extract_venue_features(segments(), snaps, 0.0, profile())
+        venue = extract_venue_features(segments(), snaps, profile())
         promo = extract_promo_features(PromotionPeriod("v1", 30, 39, [offer(OfferKind.FREQUENCY, 30, 39)]))
         lone = extract_geo_features(profile("v"), [], {}, 0.0)
         crowded = extract_geo_features(profile("v"), [profile("a"), profile("b")], {}, 0.0)

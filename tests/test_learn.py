@@ -1,11 +1,14 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 
+import campaignfx.learn
 from campaignfx.errors import DegenerateSample, EmptyEvalSet, SingularFit, TooFewRows
 from campaignfx.learn import (
+    EXACT_ENUMERATION_LIMIT,
     Dataset,
     cross_validate,
     feature_auc,
@@ -32,7 +35,73 @@ def auc_brute_force(pos, neg):
     return wins / (len(pos) * len(neg))
 
 
+def dp_null_counts(n1, n2):
+    """Reference null counts of U from the row recurrence ``f(u; m, n) = f(u - n; m - 1, n) + f(u; m, n - 1)``.
+
+    ``counts[u]`` is the number of partitions of ``u`` into at most ``n1``
+    parts, each at most ``n2``.
+    """
+    max_u = n1 * n2
+    prev_row = [np.zeros(max_u + 1) for _ in range(n2 + 1)]
+    for arr in prev_row:
+        arr[0] = 1.0  # m = 0: only u = 0 is achievable
+    for _m in range(1, n1 + 1):
+        cur_row = [np.zeros(max_u + 1) for _ in range(n2 + 1)]
+        cur_row[0][0] = 1.0
+        for nn in range(1, n2 + 1):
+            arr = cur_row[nn - 1].copy()
+            arr[nn:] += prev_row[nn][: max_u + 1 - nn]
+            cur_row[nn] = arr
+        prev_row = cur_row
+    return prev_row[n2]
+
+
+def dp_exact_two_sided_p(counts, u, n1, n2):
+    """Reference exact two-sided p: the tail of ``counts`` up to ``min(u, n1 * n2 - u)``, doubled and capped at 1."""
+    total = counts.sum()
+    u_small = min(u, n1 * n2 - u)
+    tail = counts[: int(math.floor(u_small)) + 1].sum()
+    return float(min(1.0, 2.0 * tail / total))
+
+
+EXACT_PAIRS = [(n1, n2) for n1 in range(1, EXACT_ENUMERATION_LIMIT + 1)
+               for n2 in range(1, EXACT_ENUMERATION_LIMIT // n1 + 1)]
+
+
+class TestExactNull:
+    def test_pairs_cover_both_orders(self):
+        assert set(EXACT_PAIRS) == {(n2, n1) for n1, n2 in EXACT_PAIRS}
+
+    def test_counts_fit_the_float_mantissa(self):
+        # every count, and their total, is exact in float64 only below 2**53
+        assert all(math.comb(n1 + n2, n1) < 2**53 for n1, n2 in EXACT_PAIRS)
+
+    def test_counts_and_p_values_equal_row_recurrence(self):
+        exact_p = campaignfx.learn._exact_two_sided_p
+        for n1, n2 in EXACT_PAIRS:
+            counts = dp_null_counts(n1, n2)
+            assert np.array_equal(campaignfx.learn._null_counts(n1, n2), counts), (n1, n2)
+            max_u = n1 * n2
+            us = range(max_u + 1) if max_u <= 12 else {0, 1, max_u // 3, max_u // 2, max_u - 1, max_u}
+            for u in us:
+                assert exact_p(float(u), n1, n2) == dp_exact_two_sided_p(counts, float(u), n1, n2), (u, n1, n2)
+
+
 class TestMannWhitney:
+    @pytest.mark.parametrize("pos,neg", [([3.0, 4.0, 5.0], [1.0, 2.0]),  # exact path
+                                         ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])])  # normal path
+    def test_one_ranking_pass(self, monkeypatch, pos, neg):
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        mann_whitney(pos, neg)
+        assert len(calls) == 1
+
     def test_all_pairs_won(self):
         result = mann_whitney([3, 4, 5], [1, 2])
         assert result.u == 6.0

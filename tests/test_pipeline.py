@@ -185,3 +185,94 @@ class TestLoadCorpusFromLines:
             "offers skipped: venue has no usable daily series": [],
         }
         assert set(loaded.series) == set(synth.snapshots)
+
+
+def _poll(venue_id, ts, checkins=0):
+    return json.dumps({"venue_id": venue_id, "ts": ts, "checkins": checkins, "users": 0,
+                       "specials": 0, "tips": 0, "likes": 0})
+
+
+def _non_blank(lines):
+    return sum(1 for line in lines if line.strip())
+
+
+class TestConservation:
+    """Every input line, venue, offer, period, reference slot and campaign horizon is kept or counted."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        synth = generate_corpus_data(SynthConfig(n_venues=30, days=100, promo_fraction=0.4, seed=3))
+        snapshots = synth.snapshot_lines()
+        decreased = json.loads(snapshots[60]) | {"checkins": 0}  # below the venue's earlier polls
+        snapshots = (snapshots[:60] + [json.dumps(decreased)] + snapshots[61:]
+                     + [snapshots[10], "{broken", "", _poll("lonely", 0), _poll("far", 0), _poll("far", 1e300)])
+        offers = synth.offer_lines()
+        spare = json.loads(offers[0])
+        quiet = min(set(synth.snapshots) - {json.loads(line)["venue_id"] for line in offers})
+        offers = offers + [offers[1], "[]",
+                           json.dumps(spare | {"venue_id": "ghost", "special_id": "ghost-s0"}),
+                           json.dumps(spare | {"venue_id": "lonely", "special_id": "lonely-s0"}),
+                           json.dumps(spare | {"venue_id": quiet, "special_id": f"{quiet}-s9",  # too short
+                                               "start": "2012-12-01", "end": "2012-12-03"})]
+        config = fast_config(bootstraps=99, n_groups=3, grid_deg=5.0)  # one matching cell: slots get filled
+        promoted = sorted({c.period.venue_id for c in segment_stage(
+            load_corpus(snapshots, offers), config).eligible})
+        venues = synth.venue_lines()
+        # the first promoted venue's line comes twice; the last promoted venue has no profile
+        venues = [line for line in venues if json.loads(line)["venue_id"] != promoted[-1]] + [
+            next(line for line in venues if json.loads(line)["venue_id"] == promoted[0])]
+        corpus = load_corpus(snapshots, offers, venues)
+        eligibility = segment_stage(corpus, config)
+        effects = run_test_stage(corpus, eligibility, config)
+        effects = [e for e in effects if e.venue_id != promoted[0]] + [
+            e for e in effects if e.venue_id == promoted[0]][1:]  # one horizon of a profiled campaign lacks a row
+        return dict(lines=(snapshots, offers, venues), config=config, corpus=corpus, eligibility=eligibility,
+                    matched=match_stage(corpus, eligibility, config),
+                    rows=features_stage(corpus, eligibility, effects, config))
+
+    def test_snapshot_lines(self, run):
+        report = run["corpus"].snapshot_parse
+        kept = sum(len(s) for s in report.readings.values())
+        assert report.duplicate_timestamps >= 1 and report.errors
+        assert sum(dc.anomaly_count for dc in run["corpus"].cumulative.values()) >= 1
+        assert _non_blank(run["lines"][0]) == kept + report.duplicate_timestamps + len(report.errors)
+
+    def test_venues_with_snapshots(self, run):
+        corpus = run["corpus"]
+        short, long_span = corpus.drops[pipeline._SHORT_SERIES], corpus.drops[pipeline._LONG_SPAN]
+        assert short == ["lonely"] and long_span == ["far"]
+        assert len(corpus.snapshot_parse.readings) == len(corpus.series) + len(short) + len(long_span)
+
+    def test_offers(self, run):
+        corpus = run["corpus"]
+        placed = sum(len(p.offers) for p in corpus.periods)
+        unplaced = corpus.drops[pipeline._UNPLACED]
+        assert unplaced == ["ghost-s0", "lonely-s0"]
+        assert [e.message for e in corpus.parse_errors["offers"]] == [
+            "repeated special_id " + repr(json.loads(run["lines"][1][1])["special_id"]), "record is not an object"]
+        assert _non_blank(run["lines"][1]) == placed + len(unplaced) + len(corpus.parse_errors["offers"])
+
+    def test_periods(self, run):
+        corpus, eligibility = run["corpus"], run["eligibility"]
+        assert eligibility.skipped
+        assert len(corpus.periods) == len(eligibility.eligible) + len(eligibility.skipped)
+
+    def test_reference_slots(self, run):
+        corpus, eligibility, matched = run["corpus"], run["eligibility"], run["matched"]
+        promoted = {c.period.venue_id for c in eligibility.eligible} & {p.venue_id for p in corpus.profiles}
+        filled = sum(len(g.members) for g in matched.groups)
+        assert filled and matched.exhausted_count
+        assert filled + matched.exhausted_count + matched.unfittable_count == run["config"].n_groups * len(promoted)
+        assert len(corpus.parse_errors["venues"]) == 1  # the repeated line
+
+    def test_campaign_horizons(self, run):
+        corpus, eligibility = run["corpus"], run["eligibility"]
+        profiled = {p.venue_id for p in corpus.profiles}
+        no_profile = corpus.drops["campaigns skipped: venue has no profile"]
+        no_row = corpus.drops["campaign horizons skipped: no row in effects"]
+        assert no_profile and len(no_row) == 1
+        horizons = [1 + c.segments.long_term_eligible for c in eligibility.eligible]
+        unprofiled = [1 + c.segments.long_term_eligible for c in eligibility.eligible
+                      if c.period.venue_id not in profiled]
+        assert len(no_profile) == len(unprofiled)
+        assert len(run["rows"]) + sum(unprofiled) + len(no_row) == sum(horizons)

@@ -122,12 +122,26 @@ def test_ids_must_be_non_empty_strings(kind, field, value):
     assert [(e.line_no, e.message) for e in report.errors] == [(2, f"{field} must be a non-empty string")]
 
 
+@pytest.mark.parametrize("kind, field", [("offers", "special_id"), ("venues", "venue_id")])
+def test_repeated_id_is_malformed(kind, field):
+    """A later offer or venue line with an earlier line's id is malformed; a line that failed claims no id."""
+    parse, good, parsed = ID_PARSERS[kind]
+    failed = good | {field: "v3", "lat" if kind == "venues" else "type": "bad"}
+    report = parse([json.dumps(good), json.dumps(good | {field: "v2"}), "", json.dumps(good),
+                    json.dumps(failed), json.dumps(good | {field: "v3"}), json.dumps(good | {field: "v2"})])
+    assert [getattr(item, field) for item in getattr(report, parsed)] == [good[field], "v2", "v3"]
+    assert [e.line_no for e in report.errors] == [4, 5, 7]
+    assert [e.message for e in report.errors if e.line_no != 5] == [
+        f"repeated {field} {good[field]!r}", f"repeated {field} 'v2'"]
+
+
 class TestInterpolateDaily:
     def test_hand_linear_interpolation(self):
         # 10 check-ins at t=0h, 20 at t=25h: the 24h grid point interpolates
         # to 10 + 24/25 * 10 = 19.6
         dc = interpolate_daily(make_snapshots([0.0, 25 * HOUR], [10, 20]))
-        assert dc.origin_ts == 0.0
+        # the grid starts at the first reading: the same polls 7h later give the same grid values
+        assert np.array_equal(interpolate_daily(make_snapshots([7 * HOUR, 32 * HOUR], [10, 20])).values, dc.values)
         assert np.allclose(dc.values, [10.0, 19.6])
         assert dc.anomaly_count == 0
 
@@ -167,26 +181,26 @@ class TestInterpolateDaily:
 
 class TestDailyCheckins:
     def test_direct_difference(self):
-        dc = DailyCumulative("v1", 0.0, np.array([10.0, 12.0, 15.0]))
+        dc = DailyCumulative("v1", np.array([10.0, 12.0, 15.0]))
         ds = daily_checkins(dc)
         assert np.array_equal(ds.values, [2, 3])
 
     def test_constant_series(self):
-        dc = DailyCumulative("v1", 0.0, np.array([5.0, 5.0, 5.0, 5.0]))
+        dc = DailyCumulative("v1", np.array([5.0, 5.0, 5.0, 5.0]))
         assert np.array_equal(daily_checkins(dc).values, [0, 0, 0])
 
     def test_real_valued(self):
-        dc = DailyCumulative("v1", 0.0, np.array([0.0, 1.5, 4.0]))
+        dc = DailyCumulative("v1", np.array([0.0, 1.5, 4.0]))
         assert np.allclose(daily_checkins(dc).values, [1.5, 2.5])
 
     def test_too_short(self):
         with pytest.raises(InsufficientData):
-            daily_checkins(DailyCumulative("v1", 0.0, np.array([1.0])))
+            daily_checkins(DailyCumulative("v1", np.array([1.0])))
 
     @given(st.lists(st.integers(min_value=0, max_value=500), min_size=2, max_size=60))
     def test_telescoping_sum(self, counts):
         values = np.maximum.accumulate(np.asarray(counts, dtype=float))
-        ds = daily_checkins(DailyCumulative("v1", 0.0, values))
+        ds = daily_checkins(DailyCumulative("v1", values))
         assert ds.values.sum() == pytest.approx(values[-1] - values[0])
         assert np.all(ds.values >= 0)
 
