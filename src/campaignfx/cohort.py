@@ -11,7 +11,8 @@ campaign effects from background drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -109,56 +110,40 @@ def match_reference(
     category and the same 0.1-degree cell is drawn without replacement across
     all groups; when the cell is exhausted the search widens to the 3x3 cell
     neighborhood. Returns the groups and the number of slots that still
-    could not be filled.
+    could not be filled. A pool holding a promoted venue, or one venue id
+    twice, raises ``ValueError``.
     """
     promoted = {p.venue_id for p in promo}.intersection(p.venue_id for p in pool)
     if promoted:
         raise ValueError(f"pool contains promoted venues, e.g. {min(promoted)}")
+    repeated = [venue_id for venue_id, n in Counter(p.venue_id for p in pool).items() if n > 1]
+    if repeated:
+        raise ValueError(f"pool repeats venue ids, e.g. {min(repeated)}")
 
+    # each bucket in venue order; take_from pops the venue it draws, so no venue is drawn twice
     buckets: dict[tuple[Category, tuple[int, int]], list[VenueProfile]] = {}
-    for profile in pool:
-        key = (profile.category, grid_cell(profile.lat, profile.lon, cell_deg))
-        buckets.setdefault(key, []).append(profile)
-    for bucket in buckets.values():
-        bucket.sort(key=lambda p: p.venue_id)
-
-    used: set[str] = set()
-    groups: list[ReferenceGroup] = []
-    exhausted = 0
+    for profile in sorted(pool, key=lambda p: p.venue_id):
+        buckets.setdefault((profile.category, grid_cell(profile.lat, profile.lon, cell_deg)), []).append(profile)
 
     def take_from(keys: list[tuple[Category, tuple[int, int]]]) -> Optional[VenueProfile]:
-        candidates: list[VenueProfile] = []
-        for key in keys:
-            bucket = buckets.get(key)
-            if not bucket:
-                continue
-            bucket[:] = [p for p in bucket if p.venue_id not in used]
-            candidates.extend(bucket)
+        candidates = [buckets[key] for key in keys if buckets.get(key)]
         if not candidates:
             return None
-        pick = candidates[int(rng.integers(len(candidates)))]
-        used.add(pick.venue_id)
-        return pick
+        index = int(rng.integers(sum(map(len, candidates))))
+        for bucket in candidates:
+            if index < len(bucket):
+                return bucket.pop(index)
+            index -= len(bucket)
 
-    for group_id in range(n_groups):
-        group = ReferenceGroup(group_id=group_id)
+    groups = [ReferenceGroup(group_id=group_id) for group_id in range(n_groups)]
+    for group in groups:
         for venue in promo:
             row, col = grid_cell(venue.lat, venue.lon, cell_deg)
-            pick = take_from([(venue.category, (row, col))])
-            if pick is None:
-                ring = [
-                    (venue.category, (row + dr, col + dc))
-                    for dr in (-1, 0, 1)
-                    for dc in (-1, 0, 1)
-                    if not (dr == 0 and dc == 0)
-                ]
-                pick = take_from(ring)
-            if pick is None:
-                exhausted += 1
-                continue
-            group.members.append(ReferenceMember(venue_id=pick.venue_id, counterpart_id=venue.venue_id))
-        groups.append(group)
-    return groups, exhausted
+            pick = take_from([(venue.category, (row, col))]) or take_from(
+                [(venue.category, (row + dr, col + dc)) for dr in (-1, 0, 1) for dc in (-1, 0, 1)])
+            if pick is not None:
+                group.members.append(ReferenceMember(venue_id=pick.venue_id, counterpart_id=venue.venue_id))
+    return groups, len(groups) * len(promo) - sum(len(g.members) for g in groups)
 
 
 def assign_pseudo_periods(
@@ -181,21 +166,19 @@ def assign_pseudo_periods(
     kept: list[ReferenceMember] = []
     for member in group.members:
         s = series_index.get(member.venue_id)
-        assigned = None
-        if s is not None:
-            for _ in range(PSEUDO_PERIOD_MAX_ATTEMPTS):
-                start, duration = empirical_periods[int(rng.integers(len(empirical_periods)))]
-                end = start + duration - 1
-                if end > s.last_day:
-                    continue
-                try:
-                    segment(s, start, end, k=min_history, min_duration=min_duration)
-                except IneligibleCampaign:
-                    continue
-                assigned = (start, end)
-                break
-        if assigned is not None:
-            kept.append(replace(member, pseudo_start=assigned[0], pseudo_end=assigned[1]))
+        if s is None:
+            continue
+        for _ in range(PSEUDO_PERIOD_MAX_ATTEMPTS):
+            start, duration = empirical_periods[int(rng.integers(len(empirical_periods)))]
+            end = start + duration - 1
+            if end > s.last_day:
+                continue
+            try:
+                segment(s, start, end, k=min_history, min_duration=min_duration)
+            except IneligibleCampaign:
+                continue
+            kept.append(ReferenceMember(member.venue_id, member.counterpart_id, pseudo_start=start, pseudo_end=end))
+            break
     return ReferenceGroup(group_id=group.group_id, members=kept), len(group.members) - len(kept)
 
 

@@ -26,7 +26,7 @@ from .cohort import CATEGORIES, VenueProfile
 from .effect import EffectLabel, Horizon
 from .errors import MissingCounter
 from .geo import RadiusIndex
-from .series import DAY_SECONDS, SegmentedSeries, VenueSnapshots, counter_at, csv_text, read_csv_table
+from .series import DAY_SECONDS, SegmentedSeries, VenueSnapshots, counter_at, csv_text, first_by_id, read_csv_table
 
 NEIGHBORHOOD_RADIUS_MILES = 0.5
 LOYALTY_IMPUTED = 1.0  # minimum achievable return rate
@@ -207,4 +207,4 @@ def _feature_row(record: dict) -> FeatureVector:
 
 
 def read_features_csv(text: str) -> list[FeatureVector]:
-    return read_csv_table(text, CSV_HEADER, _feature_row)
+    return read_csv_table(text, CSV_HEADER, first_by_id(_feature_row, "venue_id", "start_day", "horizon"))

@@ -43,6 +43,7 @@ from .series import (
     VenueSnapshots,
     csv_text,
     daily_checkins,
+    first_by_id,
     interpolate_daily,
     parse_snapshots,
     read_csv_table,
@@ -194,7 +195,7 @@ def _run_effect_tasks(
         if horizon is Horizon.SHORT_TERM or seg.after is not None
     ]
     if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
             return list(pool.map(_effect_task, tasks, chunksize=max(1, len(tasks) // (config.jobs * 8))))
     return [_effect_task(t) for t in tasks]
 
@@ -386,7 +387,8 @@ def _effect_row(rec: dict) -> CampaignEffect:
 
 
 def read_effects_csv(text: str) -> list[CampaignEffect]:
-    return read_csv_table(text, EFFECTS_CSV_HEADER, _effect_row)
+    row = first_by_id(_effect_row, "group_id", "venue_id", "start_day", "horizon")
+    return read_csv_table(text, EFFECTS_CSV_HEADER, row)
 
 
 GROUPS_CSV_HEADER = ["group_id", "venue_id", "pseudo_start", "pseudo_end"]
@@ -413,7 +415,7 @@ def _group_member(rec: dict) -> tuple[int, cohort_mod.ReferenceMember]:
 
 def read_groups_csv(text: str) -> list[ReferenceGroup]:
     groups: dict[int, ReferenceGroup] = {}
-    for gid, member in read_csv_table(text, GROUPS_CSV_HEADER, _group_member):
+    for gid, member in read_csv_table(text, GROUPS_CSV_HEADER, first_by_id(_group_member, "group_id", "venue_id")):
         groups.setdefault(gid, ReferenceGroup(group_id=gid)).members.append(member)
     return [groups[g] for g in sorted(groups)]
 

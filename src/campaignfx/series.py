@@ -140,14 +140,17 @@ def record_id(value: object, name: str) -> str:
     return value
 
 
-def first_by_id(convert: Callable[[dict], object], name: str) -> Callable[[dict], object]:
-    """``convert``, but a record whose id field ``name`` repeats an earlier record's raises ``ValueError``."""
-    first: dict[str, object] = {}  # id -> the value converted from its first record
+def first_by_id(convert: Callable[[dict], object], *names: str) -> Callable[[dict], object]:
+    """``convert``, but a record whose id fields ``names`` all repeat one earlier record's raises ``ValueError``."""
+    first: dict[tuple, object] = {}  # ids -> the value converted from their first record
 
     def converted(obj: dict) -> object:
         value = convert(obj)
-        if first.setdefault(obj[name], value) is not value:
-            raise ValueError(f"repeated {name} {obj[name]!r}")
+        ids = tuple(obj[name] for name in names)
+        if first.setdefault(ids, value) is not value:
+            if len(names) == 1:
+                raise ValueError(f"repeated {names[0]} {ids[0]!r}")
+            raise ValueError(f"repeated ({', '.join(names)}) {ids!r}")
         return value
     return converted
 

@@ -458,6 +458,7 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line {line_no}: ")
         assert "Traceback" not in err
+        return err
 
     def test_features_row_without_category(self, stage_dir, tmp_path, capsys):
         """A row whose flag cells are not 0/1, whose category is not exactly one, or with a
@@ -534,6 +535,30 @@ class TestMalformedArtifacts:
         ])
         self.assert_rejected(capsys, code, groups, line_no)
         assert not out.exists()
+
+    @pytest.mark.parametrize("artifact, key", [
+        ("effects.csv", "(group_id, venue_id, start_day, horizon)"),
+        ("groups.csv", "(group_id, venue_id)"),
+        ("features.csv", "(venue_id, start_day, horizon)"),
+    ])
+    def test_repeated_row(self, corpus_dir, stage_dir, tmp_path, capsys, artifact, key):
+        """A row whose key repeats an earlier row's is rejected at its line, not read twice."""
+        text = write_features_csv(crafted_features()) if artifact == "features.csv" else (stage_dir / artifact).read_text()
+        lines = text.splitlines()
+        path = tmp_path / artifact
+        path.write_text("\n".join([*lines, lines[1]]) + "\n")
+        corpus = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl"]
+        commands = {
+            "effects.csv": [["report", "--effects", path]],
+            "groups.csv": [["test", *corpus, "--groups", path]],
+            "features.csv": [["train", "--features", path, "--folds", 5],
+                             ["report", "--effects", stage_dir / "effects.csv", "--features", path]],
+        }[artifact]
+        for command in commands:
+            out = tmp_path / command[0]
+            err = self.assert_rejected(capsys, run([*command, "--out", out]), path, len(lines) + 1)
+            assert err.startswith(f"error: {path}: line {len(lines) + 1}: repeated {key} (")
+            assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[]", '"x"', '{"models": {"a": 1}}', '{"models": null}',
                                       '{"models": [], "rms_gaps": []}', '{"models": [',

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from campaignfx.cohort import (
+    CATEGORIES,
     PSEUDO_PERIOD_MAX_ATTEMPTS,
     Category,
     FractionMode,
@@ -21,7 +22,7 @@ from campaignfx.cohort import (
 )
 from campaignfx.effect import EffectLabel, EffectResult, Horizon, linear_quantiles
 from campaignfx.errors import EmptyDenominator
-from campaignfx.geo import haversine_miles
+from campaignfx.geo import grid_cell, haversine_miles
 from campaignfx.rng import derive_rng
 
 from conftest import make_series
@@ -37,6 +38,57 @@ def result(diff=1.0, p=0.01, power=0.9, label=EffectLabel.SIGNIFICANT_INCREASE, 
         ci_low=diff - 1, ci_high=diff + 1,
         horizon=Horizon.SHORT_TERM, label=label,
     )
+
+
+def reference_match(promo, pool, n_groups, *, rng, cell_deg=0.1):
+    """The matcher written with a ``used`` set: every draw rebuilds the buckets it reads without used venues."""
+    promoted = {p.venue_id for p in promo}.intersection(p.venue_id for p in pool)
+    if promoted:
+        raise ValueError(f"pool contains promoted venues, e.g. {min(promoted)}")
+
+    buckets = {}
+    for p in pool:
+        buckets.setdefault((p.category, grid_cell(p.lat, p.lon, cell_deg)), []).append(p)
+    for bucket in buckets.values():
+        bucket.sort(key=lambda p: p.venue_id)
+
+    used: set[str] = set()
+    groups = []
+    exhausted = 0
+
+    def take_from(keys):
+        candidates = []
+        for key in keys:
+            bucket = buckets.get(key)
+            if not bucket:
+                continue
+            bucket[:] = [p for p in bucket if p.venue_id not in used]
+            candidates.extend(bucket)
+        if not candidates:
+            return None
+        pick = candidates[int(rng.integers(len(candidates)))]
+        used.add(pick.venue_id)
+        return pick
+
+    for group_id in range(n_groups):
+        group = ReferenceGroup(group_id=group_id)
+        for venue in promo:
+            row, col = grid_cell(venue.lat, venue.lon, cell_deg)
+            pick = take_from([(venue.category, (row, col))])
+            if pick is None:
+                ring = [
+                    (venue.category, (row + dr, col + dc))
+                    for dr in (-1, 0, 1)
+                    for dc in (-1, 0, 1)
+                    if not (dr == 0 and dc == 0)
+                ]
+                pick = take_from(ring)
+            if pick is None:
+                exhausted += 1
+                continue
+            group.members.append(ReferenceMember(venue_id=pick.venue_id, counterpart_id=venue.venue_id))
+        groups.append(group)
+    return groups, exhausted
 
 
 class TestMatchReference:
@@ -112,6 +164,36 @@ class TestMatchReference:
     def test_promoted_pool_rejected(self):
         with pytest.raises(ValueError, match="p0"):
             match_reference([profile("p0")], [profile("r0"), profile("p0")], rng=derive_rng(0))
+
+    def test_repeated_pool_id_rejected(self):
+        with pytest.raises(ValueError, match="repeats venue ids, e.g. r1"):
+            match_reference([profile("p0")], [profile("r1"), profile("r0"), profile("r1", lat=41.0)],
+                            rng=derive_rng(0))
+
+    def test_same_groups_and_draws_as_the_reference_matcher(self):
+        # several categories in a box of ~3x3 cells, promoted venues also just outside it, so own
+        # cells run dry, the 3x3 block takes over, and some slots find no venue at all
+        cells = {"own": 0, "block": 0, "exhausted": 0, "full": 0}
+        for seed in range(300):
+            gen = derive_rng(seed, "pools")
+
+            def venues(prefix, n, lo, hi):
+                ids = gen.choice(10**6, size=n, replace=False)
+                return [profile(f"{prefix}{i:06d}", category=CATEGORIES[int(gen.integers(3))],
+                                lat=40 + gen.uniform(lo, hi), lon=-80 + gen.uniform(lo, hi)) for i in ids]
+
+            promo = venues("p", int(gen.integers(1, 12)), -0.1, 0.4)
+            pool = venues("r", int(gen.integers(0, 80)), 0.0, 0.3)
+            n_groups = int(gen.integers(1, 7))
+            expected = reference_match(promo, pool, n_groups, rng=derive_rng(seed, "m"))
+            groups, exhausted = match_reference(promo, pool, n_groups, rng=derive_rng(seed, "m"))
+            assert (groups, exhausted) == expected
+            cell_of = {p.venue_id: grid_cell(p.lat, p.lon, 0.1) for p in promo + pool}
+            for m in (m for g in groups for m in g.members):
+                cells["own" if cell_of[m.venue_id] == cell_of[m.counterpart_id] else "block"] += 1
+            cells["exhausted"] += exhausted
+            cells["full"] += exhausted == len(promo) * n_groups
+        assert min(cells.values()) > 0, cells
 
 
 class TestAssignPseudoPeriods:

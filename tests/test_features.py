@@ -176,9 +176,9 @@ def _values(category=Category.FOOD, loyalty=2.5, m_b=2.0):
     }
 
 
-def _vector(values=None, label=EffectLabel.SIGNIFICANT_INCREASE, d=0.4):
+def _vector(values=None, label=EffectLabel.SIGNIFICANT_INCREASE, d=0.4, venue_id="v1"):
     return FeatureVector(
-        venue_id="v1",
+        venue_id=venue_id,
         start_day=30,
         end_day=40,
         horizon=Horizon.SHORT_TERM,
@@ -211,9 +211,9 @@ class TestMatrixAndCsv:
     def test_csv_roundtrip(self):
         rows = [
             _vector(),
-            _vector(label=EffectLabel.INCONCLUSIVE, d=None),
+            _vector(label=EffectLabel.INCONCLUSIVE, d=None, venue_id="v2"),  # one campaign per row
             _vector(values=_values(Category.ARTS, loyalty=None, m_b=1.0),
-                    label=EffectLabel.POWERED_NULL, d=-0.2),
+                    label=EffectLabel.POWERED_NULL, d=-0.2, venue_id="v3"),
         ]
         text = write_features_csv(rows)
         assert text.splitlines()[0] == ",".join(CSV_HEADER)

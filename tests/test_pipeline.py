@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -87,6 +89,21 @@ class TestStages:
     def test_jobs_do_not_change_results(self, corpus, eligibility, effects):
         parallel = run_test_stage(corpus, eligibility, fast_config(jobs=2))
         assert write_effects_csv(parallel) == write_effects_csv(effects)
+
+    def test_pool_starts_no_more_workers_than_tasks(self, corpus, eligibility, monkeypatch):
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __exit__(self, *exc_info):
+                started.append(len(self._processes))
+                return super().__exit__(*exc_info)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        windows = [(c.period.venue_id, None, c.segments) for c in eligibility.eligible[:2]]
+        config = fast_config(horizon="short", jobs=4)
+        effects = pipeline._run_effect_tasks(windows, config)
+        assert started == [2]
+        assert effects == pipeline._run_effect_tasks(windows, dataclasses.replace(config, jobs=1))
 
     def test_match_and_reference(self, corpus, eligibility):
         config = fast_config()
@@ -197,7 +214,7 @@ def _non_blank(lines):
 
 
 class TestConservation:
-    """Every input line, venue, offer, period, reference slot and campaign horizon is kept or counted."""
+    """Every input line, venue, offer, period, reference slot and window, and campaign horizon is kept or counted."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -226,9 +243,11 @@ class TestConservation:
         effects = run_test_stage(corpus, eligibility, config)
         effects = [e for e in effects if e.venue_id != promoted[0]] + [
             e for e in effects if e.venue_id == promoted[0]][1:]  # one horizon of a profiled campaign lacks a row
+        matched = match_stage(corpus, eligibility, config)
+        # a longer history than the pseudo-windows were drawn with, so some of them are skipped
+        reference = reference_test_stage(corpus, matched.groups, dataclasses.replace(config, k=60))
         return dict(lines=(snapshots, offers, venues), config=config, corpus=corpus, eligibility=eligibility,
-                    matched=match_stage(corpus, eligibility, config),
-                    rows=features_stage(corpus, eligibility, effects, config))
+                    matched=matched, reference=reference, rows=features_stage(corpus, eligibility, effects, config))
 
     def test_snapshot_lines(self, run):
         report = run["corpus"].snapshot_parse
@@ -264,6 +283,13 @@ class TestConservation:
         assert filled and matched.exhausted_count
         assert filled + matched.exhausted_count + matched.unfittable_count == run["config"].n_groups * len(promoted)
         assert len(corpus.parse_errors["venues"]) == 1  # the repeated line
+
+    def test_reference_windows(self, run):
+        windows = [m for g in run["matched"].groups for m in g.members if m.pseudo_start is not None]
+        tested = {(e.group_id, e.venue_id, e.start_day) for e in run["reference"]}
+        skipped = [items for key, items in run["corpus"].drops.items() if key.startswith("reference windows skipped: ")]
+        assert tested and any(skipped)
+        assert len(windows) == len(tested) + sum(map(len, skipped))
 
     def test_campaign_horizons(self, run):
         corpus, eligibility = run["corpus"], run["eligibility"]
