@@ -27,7 +27,8 @@ from typing import Any, BinaryIO, Callable, Optional, Sequence
 
 from .campaign import EligibilityReport, offer_stats
 from .cohort import parse_venues
-from .config import RunConfig, build_run_config
+from .config import RunConfig, build_run_config, parse_config_file
+from .effect import Horizon
 from .errors import CampaignFxError, InvalidConfig
 from .pipeline import (
     Drops,
@@ -90,7 +91,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="key = value config file")
     for name, kind in _KNOB_FLAGS:
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
-    parser.add_argument("--horizon", choices=("short", "long", "both"), default=None)
+    parser.add_argument("--horizon", choices=(*(h.flag for h in Horizon), "both"), default=None)
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser, venues: bool = False) -> None:
@@ -101,17 +102,17 @@ def _add_corpus_flags(parser: argparse.ArgumentParser, venues: bool = False) -> 
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    file_text = args.config.read_text() if args.config is not None else None
+    file_values = _read_table(args.config, parse_config_file) if args.config is not None else None
     overrides = {name: getattr(args, name) for name, _ in _KNOB_FLAGS}
     overrides["horizon"] = args.horizon
-    return build_run_config(file_text=file_text, overrides=overrides)
+    return build_run_config(file_values, overrides)
 
 
 def _read_table(path: Path, reader: Callable[[str], Any]) -> Any:
-    """``reader`` of the artifact at ``path``; a malformed artifact is an error naming the file."""
+    """``reader`` of the file at ``path``; a malformed file is an error naming it."""
     try:
         return reader(path.read_text())
-    except ValueError as exc:
+    except (ValueError, InvalidConfig) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -276,7 +277,7 @@ def cmd_report(args: argparse.Namespace) -> Artifacts:
         "n_venues": len(profiles) if profiles else None,
         "n_promotion_campaigns": len(promo_keys),
         "n_promotion_tests": len(effects),
-        "n_long_term_tests": sum(1 for e in effects if e.result.horizon.value == "LongTerm"),
+        "n_long_term_tests": sum(1 for e in effects if e.result.horizon is Horizon.LONG_TERM),
         "n_reference_tests": len(reference),
         "n_reference_groups": len(group_ids),
         "n_degenerate_tests": sum(1 for e in effects if e.result.degenerate),

@@ -14,11 +14,12 @@ from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 from .cohort import MATCH_CELL_DEG, N_REFERENCE_GROUPS
-from .effect import DEFAULT_ALPHA, DEFAULT_BLOCK_LEN, DEFAULT_BOOTSTRAPS, DEFAULT_POWER_MIN
+from .effect import DEFAULT_ALPHA, DEFAULT_BLOCK_LEN, DEFAULT_BOOTSTRAPS, DEFAULT_POWER_MIN, Horizon
 from .errors import InvalidConfig
 from .features import NEIGHBORHOOD_RADIUS_MILES
 from .learn import CV_FOLDS
 from .series import AFTER_MAX_DAYS, AFTER_MIN_DAYS, BEFORE_DAYS, MIN_CAMPAIGN_DAYS
+
 
 
 @dataclass
@@ -37,6 +38,11 @@ class RunConfig:
     seed: int = 0
     jobs: int = 1
     horizon: str = "both"                  # short | long | both
+
+    @property
+    def horizons(self) -> tuple[Horizon, ...]:
+        """The horizons ``horizon`` selects, in ``Horizon`` order; none for a value that names none."""
+        return tuple(h for h in Horizon if self.horizon in (h.flag, "both"))
 
     def validate(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -63,7 +69,7 @@ class RunConfig:
             raise InvalidConfig("folds must be >= 2")
         if self.jobs < 1:
             raise InvalidConfig("jobs must be >= 1")
-        if self.horizon not in ("short", "long", "both"):
+        if not self.horizons:
             raise InvalidConfig("horizon must be short, long, or both")
 
     def as_dict(self) -> dict:
@@ -87,11 +93,11 @@ def parse_config_file(text: str) -> dict[str, str]:
 
 
 def build_run_config(
-    file_text: Optional[str] = None,
+    file_values: Optional[Mapping[str, str]] = None,
     overrides: Optional[Mapping[str, object]] = None,
     env: Optional[Mapping[str, str]] = None,
 ) -> RunConfig:
-    """Merge defaults, environment seed, config file, and flag overrides."""
+    """Merge defaults, environment seed, a config file's ``parse_config_file`` values, and flag overrides."""
     env = os.environ if env is None else env
     config = RunConfig()
     field_types = {f.name: f.type for f in fields(RunConfig)}
@@ -113,8 +119,8 @@ def build_run_config(
 
     if "CAMPAIGNFX_SEED" in env:
         apply("seed", env["CAMPAIGNFX_SEED"], "environment")
-    if file_text is not None:
-        for key, value in parse_config_file(file_text).items():
+    if file_values:
+        for key, value in file_values.items():
             apply(key, value, "config file")
     if overrides:
         for key, value in overrides.items():

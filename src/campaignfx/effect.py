@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientSample
+from .series import SegmentedSeries
 
 DEFAULT_BOOTSTRAPS = 4999
 DEFAULT_ALPHA = 0.05
@@ -36,6 +37,15 @@ RESAMPLE_CHUNK_ROWS = 1024
 class Horizon(Enum):
     SHORT_TERM = "ShortTerm"
     LONG_TERM = "LongTerm"
+
+    @property
+    def flag(self) -> str:
+        """``short`` or ``long``: the ``horizon`` setting that selects this horizon alone."""
+        return "short" if self is Horizon.SHORT_TERM else "long"
+
+    def window(self, segments: SegmentedSeries) -> Optional[np.ndarray]:
+        """The days compared against ``segments.before``; ``None`` when too few days after were observed."""
+        return segments.during if self is Horizon.SHORT_TERM else segments.after
 
 
 class EffectLabel(Enum):

@@ -157,14 +157,6 @@ class CampaignEffect:
     group_id: Optional[int] = None
 
 
-def _horizons(config: RunConfig) -> tuple[Horizon, ...]:
-    if config.horizon == "short":
-        return (Horizon.SHORT_TERM,)
-    if config.horizon == "long":
-        return (Horizon.LONG_TERM,)
-    return (Horizon.SHORT_TERM, Horizon.LONG_TERM)
-
-
 @dataclass(frozen=True)
 class _EffectTask:
     venue_id: str
@@ -177,8 +169,7 @@ class _EffectTask:
 def _effect_task(task: _EffectTask) -> CampaignEffect:
     seg, horizon = task.segments, task.horizon
     rng = derive_rng(task.config.seed, "effect", task.venue_id, seg.start_day, horizon.value)
-    other = seg.during if horizon is Horizon.SHORT_TERM else seg.after
-    result = evaluate_effect(seg.before, other, horizon, task.config, rng)
+    result = evaluate_effect(seg.before, horizon.window(seg), horizon, task.config, rng)
     return CampaignEffect(task.venue_id, seg.start_day, seg.end_day, result, task.group_id)
 
 
@@ -191,8 +182,8 @@ def _run_effect_tasks(
     tasks = [
         _EffectTask(venue_id, group_id, seg, horizon, test_config)
         for venue_id, group_id, seg in windows
-        for horizon in _horizons(config)
-        if horizon is Horizon.SHORT_TERM or seg.after is not None
+        for horizon in config.horizons
+        if horizon.window(seg) is not None
     ]
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
@@ -229,8 +220,7 @@ def test_stage(
     corpus: LoadedCorpus, eligibility: EligibilityReport, config: RunConfig
 ) -> list[CampaignEffect]:
     """Bootstrap-test every eligible promotion campaign on the segments it carries."""
-    eligible = sorted(eligibility.eligible, key=lambda c: (c.period.venue_id, c.period.start_day))
-    return _run_effect_tasks([(c.period.venue_id, None, c.segments) for c in eligible], config)
+    return _run_effect_tasks([(c.period.venue_id, None, c.segments) for c in eligibility.eligible], config)
 
 
 @dataclass
@@ -284,11 +274,7 @@ def reference_test_stage(
     corpus: LoadedCorpus, groups: Sequence[ReferenceGroup], config: RunConfig
 ) -> list[CampaignEffect]:
     """Bootstrap-test the pseudo-campaigns of every reference group."""
-    windows = sorted(
-        ((m.venue_id, m.pseudo_start, m.pseudo_end, g.group_id)
-         for g in groups for m in g.members if m.pseudo_start is not None),
-        key=lambda w: (w[3], w[0], w[1]),
-    )
+    windows = [(m.venue_id, m.pseudo_start, m.pseudo_end, g.group_id) for g in groups for m in g.members]
     return _run_effect_tasks(_segment_windows(corpus, windows, config), config)
 
 
@@ -326,8 +312,8 @@ def features_stage(
             **extract_promo_features(period),
             **extract_geo_features(profile, neighbors, corpus.snapshots, t_eve),
         }
-        for horizon in _horizons(config):
-            if horizon is Horizon.LONG_TERM and not seg.long_term_eligible:
+        for horizon in config.horizons:
+            if horizon.window(seg) is None:
                 continue  # no window to test, so no row is missing
             result = by_key.get((period.venue_id, seg.start_day, horizon.value))
             if result is None:
@@ -387,7 +373,8 @@ def _effect_row(rec: dict) -> CampaignEffect:
 
 
 def read_effects_csv(text: str) -> list[CampaignEffect]:
-    row = first_by_id(_effect_row, "group_id", "venue_id", "start_day", "horizon")
+    row = first_by_id(_effect_row, "group_id", "venue_id", "start_day", "horizon",
+                      key=lambda e: (e.group_id, e.venue_id, e.start_day, e.result.horizon))
     return read_csv_table(text, EFFECTS_CSV_HEADER, row)
 
 
@@ -403,19 +390,16 @@ def write_groups_csv(groups: Sequence[ReferenceGroup]) -> str:
 
 def _group_member(rec: dict) -> tuple[int, cohort_mod.ReferenceMember]:
     start, end = rec["pseudo_start"], rec["pseudo_end"]
-    if bool(start) != bool(end):
-        raise ValueError("pseudo_start and pseudo_end must both be set or both be empty")
+    if not (start and end):
+        raise ValueError("pseudo_start and pseudo_end must both be set")
     return int(rec["group_id"]), cohort_mod.ReferenceMember(
-        venue_id=rec["venue_id"],
-        counterpart_id="",
-        pseudo_start=int(start) if start else None,
-        pseudo_end=int(end) if end else None,
-    )
+        venue_id=rec["venue_id"], counterpart_id="", pseudo_start=int(start), pseudo_end=int(end))
 
 
 def read_groups_csv(text: str) -> list[ReferenceGroup]:
     groups: dict[int, ReferenceGroup] = {}
-    for gid, member in read_csv_table(text, GROUPS_CSV_HEADER, first_by_id(_group_member, "group_id", "venue_id")):
+    row = first_by_id(_group_member, "group_id", "venue_id", key=lambda r: (r[0], r[1].venue_id))
+    for gid, member in read_csv_table(text, GROUPS_CSV_HEADER, row):
         groups.setdefault(gid, ReferenceGroup(group_id=gid)).members.append(member)
     return [groups[g] for g in sorted(groups)]
 
@@ -427,7 +411,7 @@ def write_campaigns_csv(eligibility: EligibilityReport) -> str:
     ordered = sorted(eligibility.eligible, key=lambda c: (c.period.venue_id, c.period.start_day))
     return csv_text(CAMPAIGNS_CSV_HEADER, (
         (c.period.venue_id, c.segments.start_day, c.segments.end_day,
-         c.segments.end_day - c.segments.start_day + 1, c.segments.long_term_eligible)
+         c.segments.end_day - c.segments.start_day + 1, Horizon.LONG_TERM.window(c.segments) is not None)
         for c in ordered
     ))
 

@@ -19,7 +19,7 @@ from .effect import EffectLabel, Horizon
 from .errors import EmptyDenominator, EmptyEvalSet, SingularFit, TooFewRows
 from .features import FeatureVector
 from .learn import Dataset, cross_validate, mann_whitney, metrics_from_scores, rms_gap, train_model
-from .pipeline import CampaignEffect, _horizons
+from .pipeline import CampaignEffect
 from .rng import derive_rng
 from .series import csv_text
 
@@ -43,10 +43,6 @@ FEATURE_SET_COMBOS: tuple[tuple[str, ...], ...] = (
 MODEL_KINDS = ("logistic", "forest")
 
 RMS_PAIR = (("F_v", "F_g"), ("F_p", "F_v", "F_g"))
-
-
-def _horizon_key(horizon: Horizon) -> str:
-    return "short_term" if horizon is Horizon.SHORT_TERM else "long_term"
 
 
 _FRACTION_MODES = (("raw_sign", FractionMode.RAW_SIGN), ("significant_only", FractionMode.SIGNIFICANT_ONLY))
@@ -76,7 +72,7 @@ def effect_tables(
     """Increase fractions, label counts, and effect-size ECDFs per horizon."""
     category_of = {p.venue_id: p.category.value for p in profiles}
     tables: dict = {}
-    for horizon in (Horizon.SHORT_TERM, Horizon.LONG_TERM):
+    for horizon in Horizon:
         promo = [e for e in effects if e.result.horizon is horizon]
         ref = [e for e in reference_effects if e.result.horizon is horizon]
         if not promo and not ref:
@@ -94,7 +90,7 @@ def effect_tables(
         if ref:
             entry["reference"] = _fractions(
                 [e.result for e in ref], groups=[e.group_id for e in ref],
-                stream=(seed, "fraction", _horizon_key(horizon), "reference"),
+                stream=(seed, "fraction", f"{horizon.flag}_term", "reference"),
             )
         by_category = {}
         for cat in CATEGORIES:
@@ -104,7 +100,7 @@ def effect_tables(
                 ecdf_tables[cat.value] = effect_ecdf([r.cohens_d for r in cat_results])
         entry["promotion_by_category"] = by_category
         entry["effect_ecdf"] = ecdf_tables
-        tables[_horizon_key(horizon)] = entry
+        tables[f"{horizon.flag}_term"] = entry
     return tables
 
 
@@ -117,17 +113,16 @@ def feature_auc_table(rows: Sequence[FeatureVector]) -> list[dict]:
     out = []
     for feature in TABLE_FEATURES:
         record: dict = {"feature": feature}
-        for horizon, suffix in ((Horizon.SHORT_TERM, "short"), (Horizon.LONG_TERM, "long")):
-            ds = datasets[horizon]
+        for horizon, ds in datasets.items():
             values = ds.column(feature)
             pos, neg = values[ds.y == 1.0], values[ds.y == 0.0]
             if len(pos) and len(neg):
                 mw = mann_whitney(pos, neg)
-                record[f"auc_{suffix}"] = mw.u / (len(pos) * len(neg))
-                record[f"p_{suffix}"] = mw.p_value
+                record[f"auc_{horizon.flag}"] = mw.u / (len(pos) * len(neg))
+                record[f"p_{horizon.flag}"] = mw.p_value
             else:
-                record[f"auc_{suffix}"] = None
-                record[f"p_{suffix}"] = None
+                record[f"auc_{horizon.flag}"] = None
+                record[f"p_{horizon.flag}"] = None
         out.append(record)
     return out
 
@@ -147,18 +142,19 @@ def train_models(
     """
     metrics_records: list[dict] = []
     rms_gaps: dict = {"cv": {}, "out_of_sample": {}}
-    for horizon in _horizons(config):
+    for horizon in config.horizons:
+        key = f"{horizon.flag}_term"
         h_rows = [r for r in rows if r.horizon is horizon]
         if not h_rows:
             continue
         ds = Dataset.from_rows(h_rows)
         if len(ds) < config.folds:
             raise TooFewRows(
-                f"{len(ds)} labelled rows for {_horizon_key(horizon)} < {config.folds} folds"
+                f"{len(ds)} labelled rows for {key} < {config.folds} folds"
             )
         if ds.n_positive < 2 or ds.n_negative < 2:
             raise TooFewRows(
-                f"{_horizon_key(horizon)}: need at least 2 rows per class "
+                f"{key}: need at least 2 rows per class "
                 f"(got {ds.n_positive} positive, {ds.n_negative} negative)"
             )
         try:
@@ -172,7 +168,7 @@ def train_models(
                 record = {
                     "model": kind,
                     "feature_sets": list(combo),
-                    "horizon": _horizon_key(horizon),
+                    "horizon": key,
                     "n_rows": len(ds),
                     "seed": config.seed,
                     "standardized": kind == "logistic",
@@ -205,9 +201,9 @@ def train_models(
                 metrics_records.append(record)
 
         pair_a, pair_b = RMS_PAIR
-        for key, scores_of in (("cv", cv_scores), ("out_of_sample", eval_scores)):
+        for split, scores_of in (("cv", cv_scores), ("out_of_sample", eval_scores)):
             if pair_a in scores_of and pair_b in scores_of:
-                rms_gaps[key][_horizon_key(horizon)] = rms_gap(scores_of[pair_a], scores_of[pair_b])
+                rms_gaps[split][key] = rms_gap(scores_of[pair_a], scores_of[pair_b])
     return metrics_records, rms_gaps
 
 

@@ -106,13 +106,9 @@ class SegmentedSeries:
 
     before: np.ndarray
     during: np.ndarray
-    after: Optional[np.ndarray]
+    after: Optional[np.ndarray]  # None when too few days after the campaign were observed
     start_day: int
     end_day: int
-
-    @property
-    def long_term_eligible(self) -> bool:
-        return self.after is not None
 
 
 @dataclass
@@ -140,14 +136,17 @@ def record_id(value: object, name: str) -> str:
     return value
 
 
-def first_by_id(convert: Callable[[dict], object], *names: str) -> Callable[[dict], object]:
-    """``convert``, but a record whose id fields ``names`` all repeat one earlier record's raises ``ValueError``."""
-    first: dict[tuple, object] = {}  # ids -> the value converted from their first record
+def first_by_id(convert: Callable[[dict], object], *names: str,
+                key: Optional[Callable[[object], object]] = None) -> Callable[[dict], object]:
+    """``convert``, but a record whose value's ``key`` (by default its attributes ``names``) repeats an
+    earlier record's, even spelled another way, raises ``ValueError`` naming ``names`` and the record's cells."""
+    key = key or operator.attrgetter(*names)
+    first: dict[object, object] = {}  # key -> the value converted from its first record
 
     def converted(obj: dict) -> object:
         value = convert(obj)
-        ids = tuple(obj[name] for name in names)
-        if first.setdefault(ids, value) is not value:
+        if first.setdefault(key(value), value) is not value:
+            ids = tuple(obj[name] for name in names)
             if len(names) == 1:
                 raise ValueError(f"repeated {names[0]} {ids[0]!r}")
             raise ValueError(f"repeated ({', '.join(names)}) {ids!r}")

@@ -92,7 +92,7 @@ class TestEligibleCampaigns:
         periods = build_promotion_periods([offer(30, 36)])  # 7 days
         report = eligible_campaigns(periods, {"v1": s})
         assert len(report.eligible) == 1
-        assert report.eligible[0].segments.long_term_eligible  # 43 days remain after
+        assert report.eligible[0].segments.after is not None  # 43 days remain after
 
     def test_short_history_excluded(self):
         s = make_series(np.ones(80))

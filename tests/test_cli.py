@@ -20,7 +20,7 @@ from campaignfx import cli, pipeline
 from campaignfx.campaign import eligible_campaigns
 from campaignfx.cli import main
 from campaignfx.cohort import assign_pseudo_periods, match_reference
-from campaignfx.config import RunConfig, build_run_config
+from campaignfx.config import RunConfig, build_run_config, parse_config_file
 from campaignfx.effect import EffectLabel, Horizon, TestConfig, classify_effect
 from campaignfx.errors import InvalidConfig
 from campaignfx.features import neighborhood, read_features_csv, write_features_csv
@@ -81,26 +81,26 @@ class TestRunConfig:
     def test_env_seed_lowest_priority(self):
         config = build_run_config(env={"CAMPAIGNFX_SEED": "99"})
         assert config.seed == 99
-        config = build_run_config(file_text="seed = 7", env={"CAMPAIGNFX_SEED": "99"})
+        config = build_run_config(parse_config_file("seed = 7"), env={"CAMPAIGNFX_SEED": "99"})
         assert config.seed == 7
         config = build_run_config(
-            file_text="seed = 7", overrides={"seed": 5}, env={"CAMPAIGNFX_SEED": "99"}
+            parse_config_file("seed = 7"), overrides={"seed": 5}, env={"CAMPAIGNFX_SEED": "99"}
         )
         assert config.seed == 5
 
     def test_config_file_parsing(self):
         text = "alpha = 0.01  # tighter\nbootstraps=999\n\n# comment only\n"
-        config = build_run_config(file_text=text, env={})
+        config = build_run_config(parse_config_file(text), env={})
         assert config.alpha == 0.01
         assert config.bootstraps == 999
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfig):
-            build_run_config(file_text="bogus = 1", env={})
+            build_run_config(parse_config_file("bogus = 1"), env={})
 
     def test_invalid_value_rejected(self):
         with pytest.raises(InvalidConfig):
-            build_run_config(file_text="alpha = 2.0", env={})
+            build_run_config(parse_config_file("alpha = 2.0"), env={})
 
     @pytest.mark.parametrize("key", ["radius_miles", "grid_deg"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -188,12 +188,12 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("command, name", [
         ("segment", "snapshots"), ("segment", "offers"),
         ("match", "snapshots"), ("match", "offers"), ("match", "venues"),
-        ("report", "venues"),
+        ("report", "venues"), ("segment", "config"),
     ])
     def test_undecodable_input_names_its_file(self, command, name, corpus_dir, stage_dir, tmp_path,
                                               capsys, monkeypatch):
         monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
-        data = (corpus_dir / f"{name}.jsonl").read_bytes()
+        data = b"seed = 4\nbootstraps = 99\n" if name == "config" else (corpus_dir / f"{name}.jsonl").read_bytes()
         cut = data.index(b"\n", len(data) // 2) + 1
         bad = tmp_path / f"{name}.jsonl"
         bad.write_bytes(data[:cut] + b"\xff" + data[cut:])
@@ -203,9 +203,49 @@ class TestPipelineCommands:
         else:
             args = ["--snapshots", paths["snapshots"], "--offers", paths["offers"]]
             args += ["--venues", paths["venues"]] if command == "match" else []
+        args += ["--config", bad] if name == "config" else []
         assert run([command, *args, "--out", tmp_path / "run"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+
+    def test_config_line_error_names_its_file(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("seed = 4\nbootstraps 99\n")
+        code = run(["segment", "--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl",
+                    "--config", config, "--out", tmp_path / "run"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {config}: config line 2: expected key = value\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_horizon_selects_its_rows(self, corpus_dir, tmp_path):
+        """At ``--horizon short`` or ``long``, test, features and train write exactly the ``both``
+        run's effects rows, feature rows and model records of that horizon."""
+        assert [RunConfig(horizon=h).horizons for h in ("short", "long", "both")] == [
+            (Horizon.SHORT_TERM,), (Horizon.LONG_TERM,), (Horizon.SHORT_TERM, Horizon.LONG_TERM)]
+        common = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl",
+                  "--bootstraps", 99, "--seed", 4]
+        crafted = tmp_path / "crafted.csv"  # the module corpus has no negative rows to train on
+        crafted.write_text(write_features_csv(crafted_features()))
+
+        def outputs(horizon):
+            out = tmp_path / horizon
+            setting = ["--horizon", horizon, "--out", out]
+            assert run(["test", *common, *setting]) == 0
+            assert run(["features", *common, "--venues", corpus_dir / "venues.jsonl",
+                        "--effects", out / "effects.csv", *setting]) == 0
+            assert run(["train", "--features", crafted, "--folds", 5, "--seed", 2, *setting]) == 0
+            effects, features = (list(csv.DictReader(io.StringIO((out / name).read_text())))
+                                 for name in ("effects.csv", "features.csv"))
+            return effects, features, json.loads((out / "model_metrics.json").read_text())
+
+        effects, features, models = outputs("both")
+        for flag, horizon in (("short", Horizon.SHORT_TERM), ("long", Horizon.LONG_TERM)):
+            got_effects, got_features, got_models = outputs(flag)
+            assert got_effects == [r for r in effects if r["horizon"] == horizon.value] != []
+            assert got_features == [r for r in features if r["horizon"] == horizon.value] != []
+            assert got_models["models"] == [m for m in models["models"] if m["horizon"] == f"{flag}_term"] != []
+            assert got_models["rms_gaps"] == {split: {k: v for k, v in gaps.items() if k == f"{flag}_term"}
+                                              for split, gaps in models["rms_gaps"].items()}
 
     def test_groups_tests_only_reference_windows(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
@@ -518,11 +558,13 @@ class TestMalformedArtifacts:
         self.assert_rejected(capsys, code, groups, 1)
         assert not out.exists()
 
-    @pytest.mark.parametrize("blank", ["pseudo_end", "pseudo_start"])
+    @pytest.mark.parametrize("blank", ["pseudo_end", "pseudo_start", "both"])
     def test_groups_row_with_half_a_pseudo_window(self, corpus_dir, stage_dir, tmp_path, capsys, blank):
+        """A row without a whole pseudo-window is rejected at its line, not tested as half a window or dropped."""
         rows = list(csv.DictReader(io.StringIO((stage_dir / "groups.csv").read_text())))
         line_no = next(i for i, row in enumerate(rows, start=2) if row["pseudo_start"])
-        rows[line_no - 2][blank] = ""
+        for name in ("pseudo_start", "pseudo_end") if blank == "both" else (blank,):
+            rows[line_no - 2][name] = ""
         groups = tmp_path / "groups.csv"
         with groups.open("w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
@@ -542,11 +584,14 @@ class TestMalformedArtifacts:
         ("features.csv", "(venue_id, start_day, horizon)"),
     ])
     def test_repeated_row(self, corpus_dir, stage_dir, tmp_path, capsys, artifact, key):
-        """A row whose key repeats an earlier row's is rejected at its line, not read twice."""
+        """A row whose key repeats an earlier row's, as written or with a number spelled with a
+        leading zero, is rejected at its line, not read twice; the error quotes the cells as written."""
         text = write_features_csv(crafted_features()) if artifact == "features.csv" else (stage_dir / artifact).read_text()
         lines = text.splitlines()
+        header, first = lines[0].split(","), lines[1].split(",")
+        at = header.index("group_id" if artifact == "groups.csv" else "start_day")
+        respelled = [*first[:at], "0" + first[at], *first[at + 1:]]
         path = tmp_path / artifact
-        path.write_text("\n".join([*lines, lines[1]]) + "\n")
         corpus = ["--snapshots", corpus_dir / "snapshots.jsonl", "--offers", corpus_dir / "offers.jsonl"]
         commands = {
             "effects.csv": [["report", "--effects", path]],
@@ -554,11 +599,14 @@ class TestMalformedArtifacts:
             "features.csv": [["train", "--features", path, "--folds", 5],
                              ["report", "--effects", stage_dir / "effects.csv", "--features", path]],
         }[artifact]
-        for command in commands:
-            out = tmp_path / command[0]
-            err = self.assert_rejected(capsys, run([*command, "--out", out]), path, len(lines) + 1)
-            assert err.startswith(f"error: {path}: line {len(lines) + 1}: repeated {key} (")
-            assert not out.exists()
+        for repeat in (first, respelled):
+            path.write_text("\n".join([*lines, ",".join(repeat)]) + "\n")
+            for command in commands:
+                out = tmp_path / command[0]
+                err = self.assert_rejected(capsys, run([*command, "--out", out]), path, len(lines) + 1)
+                assert err.startswith(f"error: {path}: line {len(lines) + 1}: repeated {key} (")
+                assert f"{repeat[at]!r}" in err
+                assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[]", '"x"', '{"models": {"a": 1}}', '{"models": null}',
                                       '{"models": [], "rms_gaps": []}', '{"models": [',

@@ -297,8 +297,8 @@ class TestConservation:
         no_profile = corpus.drops["campaigns skipped: venue has no profile"]
         no_row = corpus.drops["campaign horizons skipped: no row in effects"]
         assert no_profile and len(no_row) == 1
-        horizons = [1 + c.segments.long_term_eligible for c in eligibility.eligible]
-        unprofiled = [1 + c.segments.long_term_eligible for c in eligibility.eligible
+        horizons = [1 + (c.segments.after is not None) for c in eligibility.eligible]
+        unprofiled = [1 + (c.segments.after is not None) for c in eligibility.eligible
                       if c.period.venue_id not in profiled]
         assert len(no_profile) == len(unprofiled)
         assert len(run["rows"]) + sum(unprofiled) + len(no_row) == sum(horizons)
