@@ -21,7 +21,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Optional, Sequence
 
@@ -53,7 +53,7 @@ from .snapcache import CACHE_NAME, cache_key, load_cache, read_lines, write_cach
 from .synth import SynthConfig, generate_corpus_data
 
 # every knob but horizon is a number flag of its default's type
-_KNOB_FLAGS = tuple((f.name, type(f.default)) for f in fields(RunConfig) if f.name != "horizon")
+_KNOB_FLAGS = tuple((name, type(value)) for name, value in asdict(RunConfig()).items() if name != "horizon")
 
 # artifact file name -> its text, or a function writing its bytes to a file
 Artifacts = dict[str, str | Callable[[BinaryIO], None]]
@@ -105,7 +105,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     file_values = _read_table(args.config, parse_config_file) if args.config is not None else None
     overrides = {name: getattr(args, name) for name, _ in _KNOB_FLAGS}
     overrides["horizon"] = args.horizon
-    return build_run_config(file_values, overrides)
+    return build_run_config(file_values, overrides, file_name=str(args.config))
 
 
 def _read_table(path: Path, reader: Callable[[str], Any]) -> Any:

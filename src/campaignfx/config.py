@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional
 
 from .cohort import MATCH_CELL_DEG, N_REFERENCE_GROUPS
@@ -20,6 +20,12 @@ from .features import NEIGHBORHOOD_RADIUS_MILES
 from .learn import CV_FOLDS
 from .series import AFTER_MAX_DAYS, AFTER_MIN_DAYS, BEFORE_DAYS, MIN_CAMPAIGN_DAYS
 
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -36,7 +42,7 @@ class RunConfig:
     n_groups: int = N_REFERENCE_GROUPS
     folds: int = CV_FOLDS
     seed: int = 0
-    jobs: int = 1
+    jobs: int = field(default_factory=usable_cpus)  # worker processes, at most; outputs do not depend on it
     horizon: str = "both"                  # short | long | both
 
     @property
@@ -44,33 +50,26 @@ class RunConfig:
         """The horizons ``horizon`` selects, in ``Horizon`` order; none for a value that names none."""
         return tuple(h for h in Horizon if self.horizon in (h.flag, "both"))
 
-    def validate(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidConfig("alpha must be in (0, 1)")
-        if self.bootstraps < 1:
-            raise InvalidConfig("bootstraps must be >= 1")
-        if self.block_len < 1:
-            raise InvalidConfig("block_len must be >= 1")
-        if not 0.0 <= self.power_min <= 1.0:
-            raise InvalidConfig("power_min must be in [0, 1]")
-        if self.k < 2:
-            raise InvalidConfig("k must be >= 2")
-        if self.w_max < AFTER_MIN_DAYS:  # a shorter cap could never admit an after window
-            raise InvalidConfig(f"w_max must be >= {AFTER_MIN_DAYS}")
-        if self.min_duration < 2:
-            raise InvalidConfig("min_duration must be >= 2")
-        if not 0 < self.radius_miles < math.inf:
-            raise InvalidConfig("radius_miles must be positive and finite")
-        if not 0 < self.grid_deg < math.inf:
-            raise InvalidConfig("grid_deg must be positive and finite")
-        if self.n_groups < 1:
-            raise InvalidConfig("n_groups must be >= 1")
-        if self.folds < 2:
-            raise InvalidConfig("folds must be >= 2")
-        if self.jobs < 1:
-            raise InvalidConfig("jobs must be >= 1")
-        if not self.horizons:
-            raise InvalidConfig("horizon must be short, long, or both")
+    def validate(self, origin: Optional[Mapping[str, str]] = None) -> None:
+        """Raise ``InvalidConfig`` for the first knob out of range; ``origin`` prefixes a knob's message."""
+        for name, ok, rule in (
+            ("alpha", 0.0 < self.alpha < 1.0, "must be in (0, 1)"),
+            ("bootstraps", self.bootstraps >= 1, "must be >= 1"),
+            ("block_len", self.block_len >= 1, "must be >= 1"),
+            ("power_min", 0.0 <= self.power_min <= 1.0, "must be in [0, 1]"),
+            ("k", self.k >= 2, "must be >= 2"),
+            # a shorter cap could never admit an after window
+            ("w_max", self.w_max >= AFTER_MIN_DAYS, f"must be >= {AFTER_MIN_DAYS}"),
+            ("min_duration", self.min_duration >= 2, "must be >= 2"),
+            ("radius_miles", 0 < self.radius_miles < math.inf, "must be positive and finite"),
+            ("grid_deg", 0 < self.grid_deg < math.inf, "must be positive and finite"),
+            ("n_groups", self.n_groups >= 1, "must be >= 1"),
+            ("folds", self.folds >= 2, "must be >= 2"),
+            ("jobs", self.jobs >= 1, "must be >= 1"),
+            ("horizon", bool(self.horizons), "must be short, long, or both"),
+        ):
+            if not ok:
+                raise InvalidConfig(f"{(origin or {}).get(name, '')}{name} {rule}")
 
     def as_dict(self) -> dict:
         # jobs is an execution detail: results are identical under any worker
@@ -78,9 +77,9 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(RunConfig) if f.name != "jobs"}
 
 
-def parse_config_file(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment."""
-    out: dict[str, str] = {}
+def parse_config_file(text: str) -> dict[str, tuple[int, str]]:
+    """Parse ``key = value`` lines into ``key -> (line number, value)``; ``#`` starts a comment."""
+    out: dict[str, tuple[int, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,23 +87,28 @@ def parse_config_file(text: str) -> dict[str, str]:
         if "=" not in line:
             raise InvalidConfig(f"config line {line_no}: expected key = value")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip().strip("\"'")
+        out[key.strip()] = (line_no, value.strip().strip("\"'"))
     return out
 
 
 def build_run_config(
-    file_values: Optional[Mapping[str, str]] = None,
+    file_values: Optional[Mapping[str, tuple[int, str]]] = None,
     overrides: Optional[Mapping[str, object]] = None,
     env: Optional[Mapping[str, str]] = None,
+    file_name: str = "config file",
 ) -> RunConfig:
-    """Merge defaults, environment seed, a config file's ``parse_config_file`` values, and flag overrides."""
+    """Merge defaults, environment seed, the ``parse_config_file`` values of the file ``file_name``, and flag overrides.
+
+    An error in a value the file set, or kept, names ``file_name`` and the line.
+    """
     env = os.environ if env is None else env
     config = RunConfig()
     field_types = {f.name: f.type for f in fields(RunConfig)}
+    origin: dict[str, str] = {}  # knob -> "<file>: config line N: " while the file's value stands
 
-    def apply(name: str, value: object, source: str) -> None:
+    def apply(name: str, value: object, where: str = "") -> None:
         if name not in field_types:
-            raise InvalidConfig(f"unknown config key {name!r} ({source})")
+            raise InvalidConfig(f"{where}unknown config key {name!r}")
         current = getattr(config, name)
         try:
             if isinstance(current, int):
@@ -114,17 +118,18 @@ def build_run_config(
             else:
                 coerced = str(value)
         except ValueError as exc:
-            raise InvalidConfig(f"config key {name!r}: {exc}") from exc
+            raise InvalidConfig(f"{where}config key {name!r}: {exc}") from exc
         setattr(config, name, coerced)
+        origin[name] = where
 
     if "CAMPAIGNFX_SEED" in env:
-        apply("seed", env["CAMPAIGNFX_SEED"], "environment")
+        apply("seed", env["CAMPAIGNFX_SEED"])
     if file_values:
-        for key, value in file_values.items():
-            apply(key, value, "config file")
+        for key, (line_no, value) in file_values.items():
+            apply(key, value, f"{file_name}: config line {line_no}: ")
     if overrides:
         for key, value in overrides.items():
             if value is not None:
-                apply(key, value, "flag")
-    config.validate()
+                apply(key, value)
+    config.validate(origin)
     return config

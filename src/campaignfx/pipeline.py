@@ -10,9 +10,11 @@ worker processes.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import campaign as campaign_mod
 from . import cohort as cohort_mod
@@ -157,6 +159,46 @@ class CampaignEffect:
     group_id: Optional[int] = None
 
 
+_Task = TypeVar("_Task")
+_Result = TypeVar("_Result")
+
+
+def _start_on(cpus: multiprocessing.queues.SimpleQueue) -> None:
+    """Pool-worker initializer: move onto the next CPU in ``cpus``, then allow again every CPU allowed before.
+
+    Forked workers start on their parent's CPU, and the scheduler can leave
+    them sharing it for a whole run while another CPU idles.
+    """
+    allowed = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {cpus.get()})
+    except OSError:  # the CPU went offline; placement is only a hint
+        pass
+    os.sched_setaffinity(0, allowed)
+
+
+def fan_out(fn: Callable[[_Task], _Result], tasks: Sequence[_Task], jobs: int) -> list[_Result]:
+    """``fn`` of each task, in task order.
+
+    With ``jobs > 1`` and more than one task, the tasks run in a pool of
+    ``min(jobs, len(tasks))`` worker processes, each started on its own CPU
+    where the platform allows; ``fn`` and the tasks reach the workers
+    pickled. A task's exception is raised here. Otherwise they run in this
+    process.
+    """
+    if jobs > 1 and len(tasks) > 1:
+        workers = min(jobs, len(tasks))
+        placement: dict = {}
+        if hasattr(os, "sched_setaffinity"):
+            cpus, allowed = multiprocessing.SimpleQueue(), sorted(os.sched_getaffinity(0))
+            for i in range(workers):
+                cpus.put(allowed[i % len(allowed)])
+            placement = {"initializer": _start_on, "initargs": (cpus,)}
+        with ProcessPoolExecutor(max_workers=workers, **placement) as pool:
+            return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (jobs * 8))))
+    return [fn(t) for t in tasks]
+
+
 @dataclass(frozen=True)
 class _EffectTask:
     venue_id: str
@@ -185,10 +227,7 @@ def _run_effect_tasks(
         for horizon in config.horizons
         if horizon.window(seg) is not None
     ]
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
-            return list(pool.map(_effect_task, tasks, chunksize=max(1, len(tasks) // (config.jobs * 8))))
-    return [_effect_task(t) for t in tasks]
+    return fan_out(_effect_task, tasks, config.jobs)
 
 
 def _segment_windows(

@@ -10,7 +10,7 @@ the with- and without-promotion-feature logistic models.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .cohort import CATEGORIES, FractionMode, VenueProfile, effect_ecdf, increase_fraction
@@ -19,7 +19,7 @@ from .effect import EffectLabel, Horizon
 from .errors import EmptyDenominator, EmptyEvalSet, SingularFit, TooFewRows
 from .features import FeatureVector
 from .learn import Dataset, cross_validate, mann_whitney, metrics_from_scores, rms_gap, train_model
-from .pipeline import CampaignEffect
+from .pipeline import CampaignEffect, fan_out
 from .rng import derive_rng
 from .series import csv_text
 
@@ -132,16 +132,67 @@ def feature_auc_csv(table: Sequence[dict]) -> str:
     return csv_text(columns, ([rec[k] for k in columns] for rec in table))
 
 
+@dataclass(frozen=True)
+class _ModelTask:
+    """One ``(horizon, kind, feature-set)`` configuration of ``train_models``."""
+
+    ds: Dataset
+    evals: Optional[Dataset]  # the out-of-sample rows, if any
+    horizon: str              # report key, e.g. ``short_term``
+    kind: str
+    combo: tuple[str, ...]
+    folds: int
+    seed: int
+
+
+def _fit_configuration(task: _ModelTask) -> tuple[dict, dict]:
+    """The model-metrics record of ``task``, and a fitted logistic model's scores by split
+    (``cv``, and ``out_of_sample`` where there are such rows)."""
+    ds, evals, kind, combo = task.ds, task.evals, task.kind, task.combo
+    record = {
+        "model": kind,
+        "feature_sets": list(combo),
+        "horizon": task.horizon,
+        "n_rows": len(ds),
+        "seed": task.seed,
+        "standardized": kind == "logistic",
+    }
+    try:
+        cv = cross_validate(ds, kind, combo, k=task.folds, seed=task.seed)
+    except SingularFit as exc:
+        # e.g. a corpus where every venue is isolated leaves the
+        # geographic block constant; record and move on
+        record["skipped"] = str(exc)
+        return record, {}
+    record["metrics"] = asdict(cv.metrics)
+    fits = list(cv.models)
+    scores = {"cv": cv.scores}
+    if evals is not None:
+        model = train_model(ds.matrix(combo)[0], ds.y, kind, combo, task.seed)
+        fits.append(model)
+        scores["out_of_sample"] = model.predict_proba(evals.matrix(combo)[0])
+        record["out_of_sample"] = {
+            "metrics": asdict(metrics_from_scores(evals.y, scores["out_of_sample"])),
+            "n_rows": len(evals),
+        }
+    if kind != "logistic":
+        return record, {}
+    record["dropped_columns"] = sorted({cv.columns[j] for fit in fits for j in fit.dropped})
+    record["not_converged"] = sum(not fit.converged for fit in fits)
+    return record, scores
+
+
 def train_models(
     rows: Sequence[FeatureVector], config: RunConfig
 ) -> tuple[list[dict], dict]:
     """Cross-validated and out-of-sample metrics for every model combo.
 
     Returns the model-metrics records and the RMS probability gaps between
-    the logistic models with and without promotion features.
+    the logistic models with and without promotion features. The
+    configurations are fitted through ``fan_out``, in up to ``config.jobs``
+    worker processes.
     """
-    metrics_records: list[dict] = []
-    rms_gaps: dict = {"cv": {}, "out_of_sample": {}}
+    tasks: list[_ModelTask] = []
     for horizon in config.horizons:
         key = f"{horizon.flag}_term"
         h_rows = [r for r in rows if r.horizon is horizon]
@@ -161,49 +212,21 @@ def train_models(
             evals: Optional[Dataset] = Dataset.out_of_sample(h_rows)
         except EmptyEvalSet:
             evals = None
-        cv_scores: dict = {}
-        eval_scores: dict = {}
-        for kind in MODEL_KINDS:
-            for combo in FEATURE_SET_COMBOS:
-                record = {
-                    "model": kind,
-                    "feature_sets": list(combo),
-                    "horizon": key,
-                    "n_rows": len(ds),
-                    "seed": config.seed,
-                    "standardized": kind == "logistic",
-                }
-                try:
-                    cv = cross_validate(ds, kind, combo, k=config.folds, seed=config.seed)
-                except SingularFit as exc:
-                    # e.g. a corpus where every venue is isolated leaves the
-                    # geographic block constant; record and move on
-                    record["skipped"] = str(exc)
-                    metrics_records.append(record)
-                    continue
-                record["metrics"] = asdict(cv.metrics)
-                fits = list(cv.models)
-                if evals is not None:
-                    model = train_model(ds.matrix(combo)[0], ds.y, kind, combo, config.seed)
-                    fits.append(model)
-                    scores = model.predict_proba(evals.matrix(combo)[0])
-                    record["out_of_sample"] = {
-                        "metrics": asdict(metrics_from_scores(evals.y, scores)),
-                        "n_rows": len(evals),
-                    }
-                if kind == "logistic":
-                    cv_scores[combo] = cv.scores
-                    if evals is not None:
-                        eval_scores[combo] = scores
-                    record["dropped_columns"] = sorted(
-                        {cv.columns[j] for fit in fits for j in fit.dropped})
-                    record["not_converged"] = sum(not fit.converged for fit in fits)
-                metrics_records.append(record)
+        tasks += [_ModelTask(ds, evals, key, kind, combo, config.folds, config.seed)
+                  for kind in MODEL_KINDS for combo in FEATURE_SET_COMBOS]
 
-        pair_a, pair_b = RMS_PAIR
-        for split, scores_of in (("cv", cv_scores), ("out_of_sample", eval_scores)):
-            if pair_a in scores_of and pair_b in scores_of:
-                rms_gaps[split][key] = rms_gap(scores_of[pair_a], scores_of[pair_b])
+    metrics_records: list[dict] = []
+    scores_of: dict = {}  # (split, horizon key, combo) -> logistic scores
+    for task, (record, scores) in zip(tasks, fan_out(_fit_configuration, tasks, config.jobs)):
+        metrics_records.append(record)
+        for split, split_scores in scores.items():
+            scores_of[split, task.horizon, task.combo] = split_scores
+    rms_gaps: dict = {"cv": {}, "out_of_sample": {}}
+    pair_a, pair_b = RMS_PAIR
+    for key in dict.fromkeys(task.horizon for task in tasks):
+        for split, gaps in rms_gaps.items():
+            if (split, key, pair_a) in scores_of and (split, key, pair_b) in scores_of:
+                gaps[key] = rms_gap(scores_of[split, key, pair_a], scores_of[split, key, pair_b])
     return metrics_records, rms_gaps
 
 

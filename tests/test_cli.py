@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,24 @@ class TestRunConfig:
     def test_invalid_value_rejected(self):
         with pytest.raises(InvalidConfig):
             build_run_config(parse_config_file("alpha = 2.0"), env={})
+
+    def test_range_error_names_the_file_only_for_its_value(self):
+        file_values = parse_config_file("seed = 3\nalpha = 2.0\n")
+        with pytest.raises(InvalidConfig, match=r"^run\.cfg: config line 2: alpha must be in \(0, 1\)$"):
+            build_run_config(file_values, env={}, file_name="run.cfg")
+        assert build_run_config(file_values, overrides={"alpha": 0.5}, env={}).alpha == 0.5
+        with pytest.raises(InvalidConfig, match=r"^alpha must be in \(0, 1\)$"):
+            build_run_config(file_values, overrides={"alpha": 1.5}, env={}, file_name="run.cfg")
+        with pytest.raises(InvalidConfig, match=r"^config key 'seed': invalid literal"):
+            build_run_config(env={"CAMPAIGNFX_SEED": "x"})
+
+    def test_default_jobs_are_the_usable_cpus(self, monkeypatch):
+        assert RunConfig().jobs == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert RunConfig().jobs == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert RunConfig().jobs == 6
 
     @pytest.mark.parametrize("key", ["radius_miles", "grid_deg"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -215,6 +234,22 @@ class TestPipelineCommands:
                     "--config", config, "--out", tmp_path / "run"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {config}: config line 2: expected key = value\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 4\nalpha = 2.0\n", "config line 2: alpha must be in (0, 1)"),
+        ("bogus = 1\n", "config line 1: unknown config key 'bogus'"),
+        ("seed = 4\n\nbootstraps = x\n",
+         "config line 3: config key 'bootstraps': invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_config_value_error_names_its_file(self, text, message, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(text)
+        features = tmp_path / "features.csv"
+        features.write_text(write_features_csv(crafted_features()))
+        code = run(["train", "--features", features, "--config", config, "--out", tmp_path / "run"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
         assert not (tmp_path / "run").exists()
 
     def test_horizon_selects_its_rows(self, corpus_dir, tmp_path):
@@ -715,6 +750,53 @@ class TestTrainCommand:
         assert run(["train", "--features", features, "--folds", 5, "--seed", 2, "--out", out_a]) == 0
         assert run(["train", "--features", features, "--folds", 5, "--seed", 2, "--out", out_b]) == 0
         assert (out_a / "model_metrics.json").read_bytes() == (out_b / "model_metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("horizon", ["short", "long"])
+    def test_jobs_do_not_change_models(self, horizon, tmp_path):
+        features = tmp_path / "features.csv"
+        features.write_text(write_features_csv(crafted_features()))
+        written = []
+        for i, jobs in enumerate((["--jobs", 1], ["--jobs", 2], [])):
+            out = tmp_path / f"run{i}"
+            assert run(["train", "--features", features, "--folds", 5, "--seed", 2,
+                        "--horizon", horizon, *jobs, "--out", out]) == 0
+            written.append((out / "model_metrics.json").read_bytes())
+        assert written[0] == written[1] == written[2]
+
+    def test_worker_error_exits_as_in_process(self, tmp_path, monkeypatch, capsys):
+        import campaignfx.learn
+
+        def failing_forest(*args, **kwargs):
+            raise ValueError("forest fit failed")
+
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(campaignfx.learn, "train_forest", failing_forest)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        features = tmp_path / "features.csv"
+        features.write_text(write_features_csv(crafted_features()))
+        errors = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(["train", "--features", features, "--folds", 5, "--jobs", jobs, "--out", out]) == 1
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: forest fit failed\n"] * 2
+        assert pools == [2]
+
+    def test_jobs_1_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        features = tmp_path / "features.csv"
+        features.write_text(write_features_csv(crafted_features()))
+        assert run(["train", "--features", features, "--folds", 5, "--jobs", 1, "--out", tmp_path / "run"]) == 0
 
     def test_too_few_rows_exits_1(self, tmp_path):
         features = tmp_path / "tiny.csv"

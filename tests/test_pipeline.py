@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -131,6 +133,35 @@ class TestStages:
         assert pairs
         for short, long in pairs:
             assert short.values == long.values and short.values is not long.values
+
+
+_affinity_calls = []  # this process's sched_setaffinity arguments; a forked worker appends to its copy
+
+
+def _worker_affinity_calls(_):
+    time.sleep(0.2)  # long enough that every worker takes a task
+    return os.getpid(), list(_affinity_calls)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_pool_workers_start_on_distinct_cpus(monkeypatch):
+    """Each worker is first moved to its own allowed CPU, then allowed every CPU again."""
+    real = os.sched_setaffinity
+
+    def recording(pid, cpus):
+        _affinity_calls.append(set(cpus))
+        real(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    allowed = os.sched_getaffinity(0)
+    calls = dict(pipeline.fan_out(_worker_affinity_calls, range(4), 2))
+    assert _affinity_calls == []  # nothing moved this process
+    assert len(calls) == 2
+    firsts = []
+    for first, restored in calls.values():
+        assert len(first) == 1 and first <= allowed and restored == allowed
+        firsts.append(min(first))
+    assert len(set(firsts)) == min(2, len(allowed))
 
 
 class TestMakeTasks:
