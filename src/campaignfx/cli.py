@@ -116,10 +116,14 @@ def _read_table(path: Path, reader: Callable[[str], Any]) -> Any:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _not_a_number(token: str) -> None:
+    raise ValueError(f"{token} is not a finite number")
+
+
 def _model_payload(text: str) -> dict:
     """``train``'s payload: a JSON object whose ``models``, where present, is a list of objects and whose
-    ``rms_gaps``, where present, is an object of objects of numbers."""
-    payload = json.loads(text)
+    ``rms_gaps``, where present, is an object of objects of numbers. ``NaN`` and ``Infinity`` are not numbers."""
+    payload = json.loads(text, parse_constant=_not_a_number)
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object")
     models, gaps = payload.get("models", []), payload.get("rms_gaps", {})

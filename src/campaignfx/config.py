@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Mapping, Optional
 
 from .cohort import MATCH_CELL_DEG, N_REFERENCE_GROUPS
@@ -21,11 +22,23 @@ from .learn import CV_FOLDS
 from .series import AFTER_MAX_DAYS, AFTER_MIN_DAYS, BEFORE_DAYS, MIN_CAMPAIGN_DAYS
 
 
+CGROUP_ROOT = Path("/sys/fs/cgroup")  # read, never written
+
+
 def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """CPUs this process may run on: its affinity set where the platform has one, else the CPU count,
+    and at most ceil(quota / period) under a cgroup CPU quota (v2 ``cpu.max``, else v1 ``cpu.cfs_*_us``).
+
+    A quota that is missing, unparsable, or unlimited (``max``, ``-1``) sets no limit.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    v2 = CGROUP_ROOT / "cpu.max"
+    v1 = [CGROUP_ROOT / "cpu" / f"cpu.cfs_{part}_us" for part in ("quota", "period")]
+    try:
+        quota, period = map(int, v2.read_text().split() if v2.exists() else [f.read_text() for f in v1])
+    except (OSError, ValueError):
+        return cpus
+    return min(cpus, math.ceil(quota / period)) if quota > 0 and period > 0 else cpus
 
 
 @dataclass
@@ -103,33 +116,19 @@ def build_run_config(
     """
     env = os.environ if env is None else env
     config = RunConfig()
-    field_types = {f.name: f.type for f in fields(RunConfig)}
     origin: dict[str, str] = {}  # knob -> "<file>: config line N: " while the file's value stands
-
-    def apply(name: str, value: object, where: str = "") -> None:
-        if name not in field_types:
+    # (knob, value, message prefix) in increasing priority: environment seed, file values, flags
+    entries = [("seed", env["CAMPAIGNFX_SEED"], "")] if "CAMPAIGNFX_SEED" in env else []
+    entries += [(key, value, f"{file_name}: config line {line_no}: ")
+                for key, (line_no, value) in (file_values or {}).items()]
+    entries += [(key, value, "") for key, value in (overrides or {}).items() if value is not None]
+    for name, value, where in entries:
+        if name not in vars(config):
             raise InvalidConfig(f"{where}unknown config key {name!r}")
-        current = getattr(config, name)
         try:
-            if isinstance(current, int):
-                coerced: object = int(str(value))
-            elif isinstance(current, float):
-                coerced = float(str(value))
-            else:
-                coerced = str(value)
+            setattr(config, name, type(getattr(config, name))(str(value)))
         except ValueError as exc:
             raise InvalidConfig(f"{where}config key {name!r}: {exc}") from exc
-        setattr(config, name, coerced)
         origin[name] = where
-
-    if "CAMPAIGNFX_SEED" in env:
-        apply("seed", env["CAMPAIGNFX_SEED"])
-    if file_values:
-        for key, (line_no, value) in file_values.items():
-            apply(key, value, f"{file_name}: config line {line_no}: ")
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                apply(key, value)
     config.validate(origin)
     return config

@@ -26,7 +26,8 @@ from .cohort import CATEGORIES, VenueProfile
 from .effect import EffectLabel, Horizon
 from .errors import MissingCounter
 from .geo import RadiusIndex
-from .series import DAY_SECONDS, SegmentedSeries, VenueSnapshots, counter_at, csv_text, first_by_id, read_csv_table
+from .series import (DAY_SECONDS, SegmentedSeries, VenueSnapshots, counter_at, csv_text, finite_cell, first_by_id,
+                     read_csv_table)
 
 NEIGHBORHOOD_RADIUS_MILES = 0.5
 LOYALTY_IMPUTED = 1.0  # minimum achievable return rate
@@ -85,7 +86,7 @@ def extract_promo_features(period: PromotionPeriod) -> dict[str, float]:
 
 def neighborhood(
     venue: VenueProfile,
-    index: RadiusIndex[VenueProfile],
+    index: RadiusIndex,
     r_miles: float = NEIGHBORHOOD_RADIUS_MILES,
 ) -> list[VenueProfile]:
     """Venues within ``r_miles`` (closed ball), the venue itself excluded."""
@@ -185,10 +186,7 @@ def write_features_csv(rows: Sequence[FeatureVector]) -> str:
 
 
 def _feature_row(record: dict) -> FeatureVector:
-    values = {c: float(record[c]) for c in DESIGN_COLUMNS}
-    for c, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{c} is {record[c]!r}, not a finite number")
+    values = {c: finite_cell(record, c) for c in DESIGN_COLUMNS}
     for c in _FLAG_COLUMNS:
         if values[c] not in (0.0, 1.0):
             raise ValueError(f"{c} is {record[c]!r}, not 0 or 1")

@@ -45,6 +45,7 @@ from .series import (
     VenueSnapshots,
     csv_text,
     daily_checkins,
+    finite_cell,
     first_by_id,
     interpolate_daily,
     parse_snapshots,
@@ -391,16 +392,19 @@ def write_effects_csv(effects: Sequence[CampaignEffect]) -> str:
 
 
 def _effect_row(rec: dict) -> CampaignEffect:
+    numbers = {name: finite_cell(rec, name) for name in ("diff", "p_value", "power", "ci_low", "ci_high")}
+    for name in ("p_value", "power"):
+        if not 0.0 <= numbers[name] <= 1.0:
+            raise ValueError(f"{name} is {rec[name]!r}, not in [0, 1]")
+    degenerate = int(rec["degenerate"])
+    if degenerate not in (0, 1):
+        raise ValueError(f"degenerate is {rec['degenerate']!r}, not 0 or 1")
     result = EffectResult(
-        diff=float(rec["diff"]),
-        cohens_d=float(rec["cohens_d"]) if rec["cohens_d"] else None,
-        p_value=float(rec["p_value"]),
-        power=float(rec["power"]),
-        ci_low=float(rec["ci_low"]),
-        ci_high=float(rec["ci_high"]),
+        **numbers,
+        cohens_d=finite_cell(rec, "cohens_d") if rec["cohens_d"] else None,
         horizon=Horizon(rec["horizon"]),
         label=EffectLabel(rec["label"]),
-        degenerate=bool(int(rec["degenerate"])),
+        degenerate=bool(degenerate),
     )
     return CampaignEffect(
         venue_id=rec["venue_id"],

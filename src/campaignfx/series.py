@@ -136,6 +136,14 @@ def record_id(value: object, name: str) -> str:
     return value
 
 
+def finite_cell(record: dict, name: str) -> float:
+    """The number in ``record``'s cell ``name``, which must be finite."""
+    value = float(record[name])
+    if not -_MAX_FLOAT <= value <= _MAX_FLOAT:  # NaN and the infinities fail
+        raise ValueError(f"{name} is {record[name]!r}, not a finite number")
+    return value
+
+
 def first_by_id(convert: Callable[[dict], object], *names: str,
                 key: Optional[Callable[[object], object]] = None) -> Callable[[dict], object]:
     """``convert``, but a record whose value's ``key`` (by default its attributes ``names``) repeats an

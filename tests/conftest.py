@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -43,3 +45,16 @@ def logistic_coefficients(model) -> tuple[np.ndarray, float]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fork_start_method():
+    """Start pool workers by ``fork`` for the test, then restore the start method.
+
+    A test that patches this process before a pool starts relies on forked
+    workers inheriting the patch; a ``forkserver`` or ``spawn`` worker would not.
+    """
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(before, force=True)

@@ -18,6 +18,7 @@ import pytest
 
 import campaignfx
 from campaignfx import cli, pipeline
+from campaignfx import config as config_mod
 from campaignfx.campaign import eligible_campaigns
 from campaignfx.cli import main
 from campaignfx.cohort import assign_pseudo_periods, match_reference
@@ -126,6 +127,34 @@ class TestRunConfig:
     def test_non_finite_distance_rejected(self, key, value):
         with pytest.raises(InvalidConfig, match=f"^{key} "):
             build_run_config(overrides={key: value}, env={})
+
+
+class TestUsableCpus:
+    """The ``jobs`` default is the affinity count, capped by a cgroup CPU quota read from fake files."""
+
+    @pytest.mark.parametrize("files, cpus", [
+        ({}, 4),
+        ({"cpu.max": "max 100000\n"}, 4),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "1 100000\n"}, 1),
+        ({"cpu.max": "800000 100000\n"}, 4),
+        ({"cpu.max": "150000\n"}, 4),
+        ({"cpu.max": ""}, 4),
+        ({"cpu.max": "max 100000\n", "cpu/cpu.cfs_quota_us": "100000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+        ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "200000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "0\n"}, 4),
+    ])
+    def test_quota_caps_the_affinity_count(self, files, cpus, tmp_path, monkeypatch):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(config_mod, "CGROUP_ROOT", tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert RunConfig().jobs == cpus
 
 
 class TestSynthCommand:
@@ -583,6 +612,25 @@ class TestMalformedArtifacts:
         self.assert_rejected(capsys, code, effects, 4)
         assert not out.exists()
 
+    @pytest.mark.parametrize("column, value", [
+        ("diff", "nan"), ("cohens_d", "nan"), ("cohens_d", "-inf"), ("p_value", "nan"), ("p_value", "1.5"),
+        ("power", "inf"), ("power", "-0.1"), ("ci_low", "-inf"), ("ci_high", "1e999"),
+        ("degenerate", "2"), ("degenerate", "-1"),
+    ])
+    def test_effects_cell_out_of_range(self, stage_dir, tmp_path, capsys, column, value):
+        """A non-finite number, a p_value or power outside [0, 1], or a degenerate flag other than 0 or 1
+        is rejected at its line, in promotion and in reference effects."""
+        header, first, *rest = (stage_dir / "effects.csv").read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = value
+        effects = tmp_path / "bad.csv"
+        effects.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        for flags in (["--effects", effects], ["--effects", stage_dir / "effects.csv", "--reference-effects", effects]):
+            out = tmp_path / "report"
+            err = self.assert_rejected(capsys, run(["report", *flags, "--out", out]), effects, 2)
+            assert err.startswith(f"error: {effects}: line 2: {column} is {value!r}, not ")
+            assert not out.exists()
+
     def test_groups_without_pseudo_end_column(self, corpus_dir, stage_dir, tmp_path, capsys):
         groups = without_column(stage_dir / "groups.csv", tmp_path / "groups.csv", "pseudo_end")
         out = tmp_path / "ref"
@@ -646,7 +694,10 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("text", ["[]", '"x"', '{"models": {"a": 1}}', '{"models": null}',
                                       '{"models": [], "rms_gaps": []}', '{"models": [',
                                       '{"models": [1, "x"]}', '{"rms_gaps": {"cv": 5}}',
-                                      '{"rms_gaps": {"cv": {"short_term": "0.1"}}}'])
+                                      '{"rms_gaps": {"cv": {"short_term": "0.1"}}}',
+                                      '{"rms_gaps": {"cv": {"short_term": NaN}}}',
+                                      '{"rms_gaps": {"cv": {"long_term": -Infinity}}}',
+                                      '{"models": [{"metrics": {"auc": Infinity}}]}'])
     def test_malformed_model_metrics(self, stage_dir, tmp_path, capsys, text):
         metrics = tmp_path / "model_metrics.json"
         metrics.write_text(text)
@@ -728,6 +779,7 @@ class TestTrainCommand:
             assert record["dropped_columns"] == want
             assert record["not_converged"] == 0
 
+    @pytest.mark.usefixtures("fork_start_method")
     def test_train_counts_unconverged_fits(self, tmp_path, monkeypatch):
         import campaignfx.models
 
@@ -763,6 +815,7 @@ class TestTrainCommand:
             written.append((out / "model_metrics.json").read_bytes())
         assert written[0] == written[1] == written[2]
 
+    @pytest.mark.usefixtures("fork_start_method")
     def test_worker_error_exits_as_in_process(self, tmp_path, monkeypatch, capsys):
         import campaignfx.learn
 

@@ -144,6 +144,7 @@ def _worker_affinity_calls(_):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+@pytest.mark.usefixtures("fork_start_method")
 def test_pool_workers_start_on_distinct_cpus(monkeypatch):
     """Each worker is first moved to its own allowed CPU, then allowed every CPU again."""
     real = os.sched_setaffinity
