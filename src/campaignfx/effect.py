@@ -30,7 +30,10 @@ DEFAULT_BOOTSTRAPS = 4999
 DEFAULT_ALPHA = 0.05
 DEFAULT_BLOCK_LEN = 2
 DEFAULT_POWER_MIN = 0.8
-# draws gathered per pass of _resample_means: ~114 KB of block sums at 14 blocks
+# _row_sums adds gathered columns below this many blocks (every window up to 31 days at block length 2);
+# from here on numpy's row sum of gathered chunks measured faster
+COLUMN_SUM_WIDTH = 16
+# rows gathered per numpy row sum from COLUMN_SUM_WIDTH blocks: 128 KB of block sums at 16, 256 KB at 32
 RESAMPLE_CHUNK_ROWS = 1024
 
 
@@ -87,13 +90,15 @@ def cohens_d(before: Sequence[float], other: Sequence[float]) -> Optional[float]
     Returns ``None`` (undefined) when the pooled deviation is zero but the
     means differ; a flat pair with equal means yields 0 by convention.
     """
-    n1, n2 = len(before), len(other)
-    if n1 < 2 or n2 < 2:
+    if len(before) < 2 or len(other) < 2:
         raise InsufficientSample("cohens_d needs at least 2 values per sample")
-    a = np.asarray(before, dtype=float)
-    b = np.asarray(other, dtype=float)
-    m1 = a.mean()
-    m2 = b.mean()
+    a, b = np.asarray(before, dtype=float), np.asarray(other, dtype=float)
+    return _cohens_d(a, b, a.mean(), b.mean())
+
+
+def _cohens_d(a: np.ndarray, b: np.ndarray, m1: float, m2: float) -> Optional[float]:
+    """:func:`cohens_d` of two float arrays with their means ``m1`` and ``m2`` already taken."""
+    n1, n2 = len(a), len(b)
     v1 = np.sum((a - m1) ** 2) / (n1 - 1)
     v2 = np.sum((b - m2) ** 2) / (n2 - 1)
     pooled = np.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
@@ -102,15 +107,65 @@ def cohens_d(before: Sequence[float], other: Sequence[float]) -> Optional[float]
     return float((m2 - m1) / pooled)
 
 
+def _pairwise_columns(sums: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(sums[starts], axis=1)`` for 1 to 15 columns, bit for bit, one gathered column at a time.
+
+    Makes, across all rows at once, the adds numpy's ``pairwise_sum`` makes
+    for one short row (``numpy/_core/src/umath/loops_utils.h.src``): below 8
+    columns, in order; from 8, ``((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7))``, then
+    the remaining columns in order. At most three sums are live.
+    """
+    width = starts.shape[1]
+
+    def column(j: int) -> np.ndarray:
+        return sums[starts[:, j]]
+
+    total = column(0)
+    if width < 8:
+        rest = range(1, width)
+    else:
+        total += column(1)
+        pair = column(2)
+        pair += column(3)
+        total += pair
+        pair = column(4)
+        pair += column(5)
+        last = column(6)
+        last += column(7)
+        pair += last
+        total += pair
+        rest = range(8, width)
+    for j in rest:
+        total += column(j)
+    total += 0.0  # the reduce's initial +0.0 comes last: a row of -0.0 sums to +0.0
+    return total
+
+
+def _row_sums(sums: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(sums[starts], axis=1)`` bit for bit, without gathering ``sums[starts]`` whole.
+
+    Below ``COLUMN_SUM_WIDTH`` columns :func:`_pairwise_columns` adds
+    gathered columns over all rows at once; wider, numpy sums the gathered
+    rows ``RESAMPLE_CHUNK_ROWS`` at a time.
+    """
+    if starts.shape[1] < COLUMN_SUM_WIDTH:
+        return _pairwise_columns(sums, starts)
+    totals = np.empty(len(starts))
+    for lo in range(0, len(starts), RESAMPLE_CHUNK_ROWS):
+        sums[starts[lo : lo + RESAMPLE_CHUNK_ROWS]].sum(axis=1, out=totals[lo : lo + RESAMPLE_CHUNK_ROWS])
+    return totals
+
+
 def _resample_means(
     values: np.ndarray, block_len: int, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Means of moving-block resamples, via precomputed sliding block sums.
 
     Draws the same start indices as materializing each resample would, in one
-    ``rng.integers`` call, then sums their block sums ``RESAMPLE_CHUNK_ROWS``
-    draws at a time into one vector: no temporary as large as the start
-    matrix, and the same bits as the one-shot ``block_sums[starts].sum(axis=1)``.
+    ``rng.integers`` call, then adds the block sums of each draw's full blocks
+    with :func:`_row_sums` and its tail block's partial sum: the same bits as
+    the one-shot ``block_sums[starts].sum(axis=1)``, with no temporary as
+    large as the start matrix.
     """
     n = len(values)
     length = min(block_len, n)
@@ -118,15 +173,10 @@ def _resample_means(
     full, tail = divmod(n, length)
     cum = np.concatenate([[0.0], np.cumsum(values)])
     block_sums = cum[length:] - cum[:-length]
-    tail_sums = cum[tail : n_starts + tail] - cum[:n_starts]
     starts = rng.integers(0, n_starts, size=(n_draws, full + (1 if tail else 0)))
-    totals = np.empty(n_draws)
-    for lo in range(0, n_draws, RESAMPLE_CHUNK_ROWS):
-        rows = starts[lo : lo + RESAMPLE_CHUNK_ROWS]
-        chunk = totals[lo : lo + RESAMPLE_CHUNK_ROWS]
-        block_sums[rows[:, :full]].sum(axis=1, out=chunk)
-        if tail:
-            chunk += tail_sums[rows[:, full]]
+    totals = _row_sums(block_sums, starts[:, :full])
+    if tail:
+        totals += (cum[tail : n_starts + tail] - cum[:n_starts])[starts[:, full]]
     totals /= n
     return totals
 
@@ -154,13 +204,15 @@ def linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
 
 @dataclass
 class BootstrapTest:
-    """One bootstrap pass: p-value, null critical interval and power."""
+    """One bootstrap pass: p-value, null critical interval and power, and the two sample means it centered on."""
 
     diff: float
     p_value: float
     crit_low: float
     crit_high: float
     power: float
+    mean_before: float
+    mean_other: float
 
 
 def bootstrap_test(
@@ -184,14 +236,15 @@ def bootstrap_test(
     a, b = np.asarray(before, dtype=float), np.asarray(other, dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise InsufficientSample("the bootstrap test needs at least 2 values per sample")
-    diff_obs = float(b.mean() - a.mean())
-    deltas = (_resample_means(b - b.mean(), block_len, bootstraps, rng)
-              - _resample_means(a - a.mean(), block_len, bootstraps, rng))
+    mean_a, mean_b = a.mean(), b.mean()
+    diff_obs = float(mean_b - mean_a)
+    deltas = (_resample_means(b - mean_b, block_len, bootstraps, rng)
+              - _resample_means(a - mean_a, block_len, bootstraps, rng))
     exceed = int(np.count_nonzero(np.abs(deltas) >= abs(diff_obs)))
     crit_low, crit_high = linear_quantiles(deltas, (alpha / 2.0, 1.0 - alpha / 2.0))
     alt = deltas + diff_obs
     power = float(np.count_nonzero((alt < crit_low) | (alt > crit_high)) / bootstraps)
-    return BootstrapTest(diff_obs, (1 + exceed) / (bootstraps + 1), crit_low, crit_high, power)
+    return BootstrapTest(diff_obs, (1 + exceed) / (bootstraps + 1), crit_low, crit_high, power, mean_a, mean_b)
 
 
 def classify_effect(
@@ -229,12 +282,12 @@ def evaluate_effect(
     """One :func:`bootstrap_test`, Cohen's d and the label of one test window; the
     confidence interval is the test's critical interval shifted by the observed difference.
     """
-    test = bootstrap_test(before, other, bootstraps=config.bootstraps, alpha=config.alpha,
-                          block_len=config.block_len, rng=rng)
     a, b = np.asarray(before, dtype=float), np.asarray(other, dtype=float)
+    test = bootstrap_test(a, b, bootstraps=config.bootstraps, alpha=config.alpha,
+                          block_len=config.block_len, rng=rng)
     return EffectResult(
         diff=test.diff,
-        cohens_d=cohens_d(a, b),
+        cohens_d=_cohens_d(a, b, test.mean_before, test.mean_other),
         p_value=test.p_value,
         power=test.power,
         ci_low=test.crit_low + test.diff,

@@ -13,6 +13,7 @@ from campaignfx.effect import (
     Horizon,
     TestConfig,
     _resample_means,
+    _row_sums,
     bootstrap_test,
     classify_effect,
     cohens_d,
@@ -309,6 +310,11 @@ class TestEvaluateEffect:
 samples = st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=2, max_size=60)
 
 
+def _uneven(n: int) -> list[float]:
+    """``n`` values whose sums round differently in different orders."""
+    return list(derive_rng(n, "uneven").uniform(-1e3, 1e3, n))
+
+
 class TestBootstrapKernel:
     """Power and CI come from the null draws shifted by the observed difference."""
 
@@ -364,7 +370,7 @@ class TestBootstrapKernel:
 
     @settings(max_examples=40)
     @given(
-        st.integers(1, 80).flatmap(lambda n: st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)),
+        st.integers(1, 300).flatmap(lambda n: st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)),
         st.integers(1, 5),
         st.sampled_from([1, RESAMPLE_CHUNK_ROWS - 1, RESAMPLE_CHUNK_ROWS, RESAMPLE_CHUNK_ROWS + 1, 4999]),
         st.integers(0, 2**32),
@@ -373,6 +379,13 @@ class TestBootstrapKernel:
     @example([1.0, -2.0, 4.0], 3, RESAMPLE_CHUNK_ROWS, 1)  # block_len == n: one start
     @example([float(i) for i in range(79)], 5, 4999, 2)  # odd n with a tail block
     @example([float(i) for i in range(80)], 3, RESAMPLE_CHUNK_ROWS - 1, 3)  # even n with a tail block
+    # at block length 2: the widest windows of in-order column adds, of paired ones, and of numpy's row sum
+    @example(_uneven(15), 2, 4999, 4)  # 7 blocks and a tail
+    @example(_uneven(16), 2, 4999, 5)  # 8 blocks
+    @example(_uneven(31), 2, 4999, 6)  # 15 blocks and a tail
+    @example(_uneven(32), 2, 4999, 7)  # 16 blocks
+    @example(_uneven(254), 2, RESAMPLE_CHUNK_ROWS + 1, 8)  # 127 blocks
+    @example(_uneven(256), 2, RESAMPLE_CHUNK_ROWS + 1, 9)  # 128 blocks
     def test_chunked_means_equal_one_shot_bitwise(self, values, block_len, n_draws, seed):
         # the previous one-shot formulation: one gather and row sum over the whole start matrix
         x = np.asarray(values)
@@ -390,15 +403,53 @@ class TestBootstrapKernel:
         assert _resample_means(x, block_len, n_draws, derive_rng(seed)).tobytes() == expected.tobytes()
 
 
-def test_warm_window_peak_memory():
-    """One 28x14 window at the default 4999 draws allocates nothing as large as its start matrix but the matrix."""
-    data = derive_rng(0, "peak").poisson(6.0, size=42).astype(float)
-    evaluate_effect(data[:28], data[28:], Horizon.LONG_TERM, TestConfig(), derive_rng(1))
+def _window_peak(before_days: int, other_days: int) -> int:
+    """Peak traced bytes of one warm ``evaluate_effect`` call at the default 4999 draws."""
+    data = derive_rng(0, "peak").poisson(6.0, size=before_days + other_days).astype(float)
+    before, other = data[:before_days], data[before_days:]
+    evaluate_effect(before, other, Horizon.LONG_TERM, TestConfig(), derive_rng(1))
     tracemalloc.start()
     try:
-        evaluate_effect(data[:28], data[28:], Horizon.LONG_TERM, TestConfig(), derive_rng(2))
-        peak = tracemalloc.get_traced_memory()[1]
+        evaluate_effect(before, other, Horizon.LONG_TERM, TestConfig(), derive_rng(2))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 0.56 MB start matrix plus one chunk; gathering all draws at once peaked at 1.2 MB
-    assert peak < 900_000
+
+
+# what a window holds besides its start matrix and its block sums: the 900 KB bound
+# of a 28x14 window less its 0.56 MB start matrix and one 1,024-row chunk of 14 blocks
+PER_DRAW_ALLOWANCE = 900_000 - 4999 * 14 * 8 - RESAMPLE_CHUNK_ROWS * 14 * 8
+
+
+def test_warm_window_peak_memory():
+    """One 28x14 window at the default 4999 draws allocates nothing as large as its start matrix but the matrix."""
+    # the 0.56 MB start matrix and four 40 KB columns; gathering all draws at once peaked at 1.2 MB
+    assert _window_peak(28, 14) < 900_000
+
+
+def test_wide_window_peak_memory():
+    """A 64x64 window (32 blocks a sample) gathers its block sums one chunk of rows at a time."""
+    # the 1.28 MB start matrix plus one 262 KB chunk, and the allowance; gathering all draws at once adds 1.28 MB
+    assert _window_peak(64, 64) < 4999 * 32 * 8 + RESAMPLE_CHUNK_ROWS * 32 * 8 + PER_DRAW_ALLOWANCE
+
+
+def test_row_sums_follow_numpy_reduce():
+    """``_row_sums`` adds in ``np.add.reduce``'s order at every width from 1 to 300 blocks.
+
+    The p-values' bits rest on that order, so a numpy that sums rows
+    differently fails here, by its version.
+    """
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1.0, -1.0, 0.1])
+    differ = []
+    for width in range(1, 301):
+        r = derive_rng(width, "row-sums")
+        rows = np.vstack([
+            r.uniform(-1e3, 1e3, (RESAMPLE_CHUNK_ROWS, width)),
+            r.choice(special, (RESAMPLE_CHUNK_ROWS, width)),  # signed zeros, subnormals, cancelling 1e16s
+            np.full((1, width), -0.0),
+            np.resize([1e16, 1.0, -1e16, 1.0], (1, width)),
+        ])
+        starts = np.arange(rows.size).reshape(rows.shape)
+        if _row_sums(rows.ravel(), starts).tobytes() != np.add.reduce(rows, axis=1).tobytes():
+            differ.append(width)
+    assert not differ, f"numpy {np.__version__} sums rows of these widths in another order: {differ}"

@@ -263,6 +263,9 @@ class TestConservation:
                            json.dumps(spare | {"venue_id": "lonely", "special_id": "lonely-s0"}),
                            json.dumps(spare | {"venue_id": quiet, "special_id": f"{quiet}-s9",  # too short
                                                "start": "2012-12-01", "end": "2012-12-03"})]
+        # an unpromoted venue whose polls never gain a check-in: its daily series is all zeros
+        snapshots = snapshots + [json.dumps(json.loads(line) | {"venue_id": "idle", "checkins": 0})
+                                 for line in synth.snapshot_lines() if json.loads(line)["venue_id"] == quiet]
         config = fast_config(bootstraps=99, n_groups=3, grid_deg=5.0)  # one matching cell: slots get filled
         promoted = sorted({c.period.venue_id for c in segment_stage(
             load_corpus(snapshots, offers), config).eligible})
@@ -270,16 +273,31 @@ class TestConservation:
         # the first promoted venue's line comes twice; the last promoted venue has no profile
         venues = [line for line in venues if json.loads(line)["venue_id"] != promoted[-1]] + [
             next(line for line in venues if json.loads(line)["venue_id"] == promoted[0])]
+        # two matchable profiles: the idle venue, removed for zero activity, and one with no polls at all
+        twin = json.loads(next(line for line in venues if json.loads(line)["venue_id"] == promoted[1]))
+        venues = venues + [json.dumps(twin | {"venue_id": venue_id}) for venue_id in ("idle", "unpolled")]
         corpus = load_corpus(snapshots, offers, venues)
         eligibility = segment_stage(corpus, config)
         effects = run_test_stage(corpus, eligibility, config)
         effects = [e for e in effects if e.venue_id != promoted[0]] + [
             e for e in effects if e.venue_id == promoted[0]][1:]  # one horizon of a profiled campaign lacks a row
-        matched = match_stage(corpus, eligibility, config)
+        matcher = pipeline.cohort_mod.match_reference
+        drawn = []  # the pool the matcher drew from and the groups it returned
+
+        def spy(promo, pool, **kwargs):
+            groups, exhausted = matcher(promo, pool, **kwargs)
+            drawn.append((list(pool), groups))
+            return groups, exhausted
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline.cohort_mod, "match_reference", spy)
+            matched = match_stage(corpus, eligibility, config)
+        (pool, drawn_groups), = drawn
         # a longer history than the pseudo-windows were drawn with, so some of them are skipped
         reference = reference_test_stage(corpus, matched.groups, dataclasses.replace(config, k=60))
         return dict(lines=(snapshots, offers, venues), config=config, corpus=corpus, eligibility=eligibility,
-                    matched=matched, reference=reference, rows=features_stage(corpus, eligibility, effects, config))
+                    pool=pool, drawn_groups=drawn_groups, matched=matched, reference=reference,
+                    rows=features_stage(corpus, eligibility, effects, config))
 
     def test_snapshot_lines(self, run):
         report = run["corpus"].snapshot_parse
@@ -315,6 +333,20 @@ class TestConservation:
         assert filled and matched.exhausted_count
         assert filled + matched.exhausted_count + matched.unfittable_count == run["config"].n_groups * len(promoted)
         assert len(corpus.parse_errors["venues"]) == 1  # the repeated line
+
+    def test_reference_pool(self, run):
+        corpus, matched = run["corpus"], run["matched"]
+        promoted = {p.venue_id for p in corpus.periods}
+        unpromoted = [p for p in corpus.profiles if p.venue_id not in promoted]
+        assert matched.zero_removed == 1  # the idle venue
+        assert len(unpromoted) == len(run["pool"]) + matched.zero_removed
+
+    def test_matched_slots(self, run):
+        matched = run["matched"]
+        slots = sum(len(g.members) for g in run["drawn_groups"])
+        windowed = sum(m.pseudo_start is not None for g in matched.groups for m in g.members)
+        assert matched.unfittable_count  # the unpolled venue has no series to fit a window in
+        assert slots == windowed + matched.unfittable_count
 
     def test_reference_windows(self, run):
         windows = [m for g in run["matched"].groups for m in g.members if m.pseudo_start is not None]
