@@ -52,6 +52,22 @@ from .series import ParseError
 from .snapcache import CACHE_NAME, cache_key, load_cache, read_lines, write_cache
 from .synth import SynthConfig, generate_corpus_data
 
+# synth's flags in --help order: (flag, SynthConfig field, type, default); no default makes a flag required
+_SYNTH_FLAGS = (
+    ("--venues", "n_venues", int, None),
+    ("--days", "days", int, 120),
+    ("--seed", "seed", int, 0),
+    ("--promo-fraction", "promo_fraction", float, 0.1),
+    ("--effect-multiplier", "effect_multiplier", float, 0.0),
+    ("--zero-fraction", "zero_venue_fraction", float, 0.0),
+    ("--seasonality", "weekly_seasonality_amp", float, 0.15),
+    ("--trend", "platform_trend_per_day", float, 0.0),
+    ("--jitter-hours", "poll_jitter_hours", float, 2.0),
+    ("--base-log-mean", "base_rate_log_mean", float, 1.0),
+    ("--base-log-sd", "base_rate_log_sd", float, 0.6),
+    ("--venue-prefix", "venue_prefix", str, "v"),
+)
+
 # every knob but horizon is a number flag of its default's type
 _KNOB_FLAGS = tuple((name, type(value)) for name, value in asdict(RunConfig()).items() if name != "horizon")
 
@@ -174,21 +190,7 @@ def _stage_inputs(
 
 
 def cmd_synth(args: argparse.Namespace) -> Artifacts:
-    cfg = SynthConfig(
-        n_venues=args.venues,
-        days=args.days,
-        base_rate_log_mean=args.base_log_mean,
-        base_rate_log_sd=args.base_log_sd,
-        weekly_seasonality_amp=args.seasonality,
-        platform_trend_per_day=args.trend,
-        promo_fraction=args.promo_fraction,
-        effect_multiplier=args.effect_multiplier,
-        zero_venue_fraction=args.zero_fraction,
-        seed=args.seed,
-        poll_jitter_hours=args.jitter_hours,
-        venue_prefix=args.venue_prefix,
-    )
-    corpus = generate_corpus_data(cfg)
+    corpus = generate_corpus_data(SynthConfig(**{name: getattr(args, name) for _, name, _, _ in _SYNTH_FLAGS}))
     truth = corpus.ground_truth_lines()
     return {
         "snapshots.jsonl": "\n".join(corpus.snapshot_lines()) + "\n",
@@ -274,27 +276,8 @@ def cmd_report(args: argparse.Namespace) -> Artifacts:
         _warn(_malformed(args.venues, venue_report.errors))
         profiles = venue_report.profiles
     model_payload = _read_table(args.model_metrics, _model_payload) if args.model_metrics else {}
-
-    promo_keys = {(e.venue_id, e.start_day) for e in effects}
-    group_ids = {e.group_id for e in reference if e.group_id is not None}
-    summary = {
-        "n_venues": len(profiles) if profiles else None,
-        "n_promotion_campaigns": len(promo_keys),
-        "n_promotion_tests": len(effects),
-        "n_long_term_tests": sum(1 for e in effects if e.result.horizon is Horizon.LONG_TERM),
-        "n_reference_tests": len(reference),
-        "n_reference_groups": len(group_ids),
-        "n_degenerate_tests": sum(1 for e in effects if e.result.degenerate),
-    }
     report = build_report(
-        config,
-        summary,
-        effects,
-        reference,
-        profiles,
-        feature_rows,
-        model_payload.get("models"),
-        model_payload.get("rms_gaps"),
+        config, effects, reference, profiles, feature_rows, model_payload.get("models"), model_payload.get("rms_gaps")
     )
     artifacts = {"report.json": render_report(report)}
     if feature_rows:
@@ -307,18 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
-    p.add_argument("--venues", type=int, required=True)
-    p.add_argument("--days", type=int, default=120)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--promo-fraction", type=float, default=0.1)
-    p.add_argument("--effect-multiplier", type=float, default=0.0)
-    p.add_argument("--zero-fraction", type=float, default=0.0)
-    p.add_argument("--seasonality", type=float, default=0.15)
-    p.add_argument("--trend", type=float, default=0.0)
-    p.add_argument("--jitter-hours", type=float, default=2.0)
-    p.add_argument("--base-log-mean", type=float, default=1.0)
-    p.add_argument("--base-log-sd", type=float, default=0.6)
-    p.add_argument("--venue-prefix", default="v")
+    for flag, name, kind, default in _SYNTH_FLAGS:
+        metavar = flag[2:].replace("-", "_").upper()  # argparse's own, from the flag rather than the field
+        p.add_argument(flag, dest=name, metavar=metavar, type=kind, default=default, required=default is None)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_synth)
 

@@ -1,4 +1,4 @@
-"""Run configuration: analysis knobs with their standard defaults.
+"""Run configuration: the bootstrap test's ``TestConfig`` extended by the other analysis knobs.
 
 Each default is the constant of the module that owns the analysis step.
 Values come from, in increasing priority: built-in defaults, the
@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional
 
 from .cohort import MATCH_CELL_DEG, N_REFERENCE_GROUPS
-from .effect import DEFAULT_ALPHA, DEFAULT_BLOCK_LEN, DEFAULT_BOOTSTRAPS, DEFAULT_POWER_MIN, Horizon
+from .effect import Horizon, TestConfig
 from .errors import InvalidConfig
 from .features import NEIGHBORHOOD_RADIUS_MILES
 from .learn import CV_FOLDS
@@ -41,12 +41,8 @@ def usable_cpus() -> int:
     return min(cpus, math.ceil(quota / period)) if quota > 0 and period > 0 else cpus
 
 
-@dataclass
-class RunConfig:
-    alpha: float = DEFAULT_ALPHA
-    bootstraps: int = DEFAULT_BOOTSTRAPS
-    block_len: int = DEFAULT_BLOCK_LEN
-    power_min: float = DEFAULT_POWER_MIN
+@dataclass(frozen=True)
+class RunConfig(TestConfig):
     k: int = BEFORE_DAYS                   # baseline window length (days)
     w_max: int = AFTER_MAX_DAYS            # post-campaign window cap (days)
     min_duration: int = MIN_CAMPAIGN_DAYS  # minimum campaign duration (days)
@@ -54,7 +50,6 @@ class RunConfig:
     grid_deg: float = MATCH_CELL_DEG       # matching cell size (degrees)
     n_groups: int = N_REFERENCE_GROUPS
     folds: int = CV_FOLDS
-    seed: int = 0
     jobs: int = field(default_factory=usable_cpus)  # worker processes, at most; outputs do not depend on it
     horizon: str = "both"                  # short | long | both
 
@@ -115,7 +110,8 @@ def build_run_config(
     An error in a value the file set, or kept, names ``file_name`` and the line.
     """
     env = os.environ if env is None else env
-    config = RunConfig()
+    defaults = RunConfig()
+    values: dict[str, object] = {}
     origin: dict[str, str] = {}  # knob -> "<file>: config line N: " while the file's value stands
     # (knob, value, message prefix) in increasing priority: environment seed, file values, flags
     entries = [("seed", env["CAMPAIGNFX_SEED"], "")] if "CAMPAIGNFX_SEED" in env else []
@@ -123,12 +119,13 @@ def build_run_config(
                 for key, (line_no, value) in (file_values or {}).items()]
     entries += [(key, value, "") for key, value in (overrides or {}).items() if value is not None]
     for name, value, where in entries:
-        if name not in vars(config):
+        if name not in vars(defaults):
             raise InvalidConfig(f"{where}unknown config key {name!r}")
         try:
-            setattr(config, name, type(getattr(config, name))(str(value)))
+            values[name] = type(getattr(defaults, name))(str(value))
         except ValueError as exc:
             raise InvalidConfig(f"{where}config key {name!r}: {exc}") from exc
         origin[name] = where
+    config = replace(defaults, **values)
     config.validate(origin)
     return config

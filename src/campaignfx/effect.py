@@ -62,8 +62,8 @@ class EffectLabel(Enum):
 class TestConfig:
     __test__ = False  # not a pytest class
 
-    bootstraps: int = DEFAULT_BOOTSTRAPS
     alpha: float = DEFAULT_ALPHA
+    bootstraps: int = DEFAULT_BOOTSTRAPS
     block_len: int = DEFAULT_BLOCK_LEN
     power_min: float = DEFAULT_POWER_MIN
     seed: int = 0

@@ -29,7 +29,7 @@ from .campaign import (
 )
 from .cohort import ReferenceGroup, VenueProfile, filter_zero_activity
 from .config import RunConfig
-from .effect import EffectLabel, EffectResult, Horizon, TestConfig, evaluate_effect
+from .effect import EffectLabel, EffectResult, Horizon, evaluate_effect
 from .errors import IneligibleCampaign, InsufficientData, SpanTooLong
 from .features import FeatureVector, extract_geo_features, extract_promo_features, extract_venue_features, neighborhood
 from .geo import RadiusIndex
@@ -206,7 +206,7 @@ class _EffectTask:
     group_id: Optional[int]
     segments: SegmentedSeries
     horizon: Horizon
-    config: TestConfig
+    config: RunConfig
 
 
 def _effect_task(task: _EffectTask) -> CampaignEffect:
@@ -220,10 +220,8 @@ def _run_effect_tasks(
     windows: Sequence[tuple[str, Optional[int], SegmentedSeries]], config: RunConfig
 ) -> list[CampaignEffect]:
     """Test each ``(venue_id, group_id, segments)`` window at every configured horizon it has."""
-    test_config = TestConfig(bootstraps=config.bootstraps, alpha=config.alpha, block_len=config.block_len,
-                             power_min=config.power_min, seed=config.seed)
     tasks = [
-        _EffectTask(venue_id, group_id, seg, horizon, test_config)
+        _EffectTask(venue_id, group_id, seg, horizon, config)
         for venue_id, group_id, seg in windows
         for horizon in config.horizons
         if horizon.window(seg) is not None

@@ -141,24 +141,23 @@ class _ModelTask:
     horizon: str              # report key, e.g. ``short_term``
     kind: str
     combo: tuple[str, ...]
-    folds: int
-    seed: int
+    config: RunConfig
 
 
 def _fit_configuration(task: _ModelTask) -> tuple[dict, dict]:
     """The model-metrics record of ``task``, and a fitted logistic model's scores by split
     (``cv``, and ``out_of_sample`` where there are such rows)."""
-    ds, evals, kind, combo = task.ds, task.evals, task.kind, task.combo
+    ds, evals, kind, combo, seed = task.ds, task.evals, task.kind, task.combo, task.config.seed
     record = {
         "model": kind,
         "feature_sets": list(combo),
         "horizon": task.horizon,
         "n_rows": len(ds),
-        "seed": task.seed,
+        "seed": seed,
         "standardized": kind == "logistic",
     }
     try:
-        cv = cross_validate(ds, kind, combo, k=task.folds, seed=task.seed)
+        cv = cross_validate(ds, kind, combo, k=task.config.folds, seed=seed)
     except SingularFit as exc:
         # e.g. a corpus where every venue is isolated leaves the
         # geographic block constant; record and move on
@@ -168,7 +167,7 @@ def _fit_configuration(task: _ModelTask) -> tuple[dict, dict]:
     fits = list(cv.models)
     scores = {"cv": cv.scores}
     if evals is not None:
-        model = train_model(ds.matrix(combo)[0], ds.y, kind, combo, task.seed)
+        model = train_model(ds.matrix(combo)[0], ds.y, kind, combo, seed)
         fits.append(model)
         scores["out_of_sample"] = model.predict_proba(evals.matrix(combo)[0])
         record["out_of_sample"] = {
@@ -212,7 +211,7 @@ def train_models(
             evals: Optional[Dataset] = Dataset.out_of_sample(h_rows)
         except EmptyEvalSet:
             evals = None
-        tasks += [_ModelTask(ds, evals, key, kind, combo, config.folds, config.seed)
+        tasks += [_ModelTask(ds, evals, key, kind, combo, config)
                   for kind in MODEL_KINDS for combo in FEATURE_SET_COMBOS]
 
     metrics_records: list[dict] = []
@@ -232,7 +231,6 @@ def train_models(
 
 def build_report(
     config: RunConfig,
-    cohort_summary: dict,
     effects: Sequence[CampaignEffect],
     reference_effects: Sequence[CampaignEffect],
     profiles: Sequence[VenueProfile],
@@ -240,6 +238,15 @@ def build_report(
     model_metrics: Optional[list[dict]],
     rms_gaps: Optional[dict],
 ) -> dict:
+    cohort_summary = {
+        "n_venues": len(profiles) if profiles else None,
+        "n_promotion_campaigns": len({(e.venue_id, e.start_day) for e in effects}),
+        "n_promotion_tests": len(effects),
+        "n_long_term_tests": sum(1 for e in effects if e.result.horizon is Horizon.LONG_TERM),
+        "n_reference_tests": len(reference_effects),
+        "n_reference_groups": len({e.group_id for e in reference_effects if e.group_id is not None}),
+        "n_degenerate_tests": sum(1 for e in effects if e.result.degenerate),
+    }
     return {
         "config": config.as_dict(),
         "cohort_summary": cohort_summary,

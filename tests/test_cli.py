@@ -23,12 +23,14 @@ from campaignfx.campaign import eligible_campaigns
 from campaignfx.cli import main
 from campaignfx.cohort import assign_pseudo_periods, match_reference
 from campaignfx.config import RunConfig, build_run_config, parse_config_file
-from campaignfx.effect import EffectLabel, Horizon, TestConfig, classify_effect
+from campaignfx.effect import EffectLabel, Horizon, TestConfig, classify_effect, evaluate_effect
 from campaignfx.errors import InvalidConfig
 from campaignfx.features import neighborhood, read_features_csv, write_features_csv
 from campaignfx.learn import cross_validate
+from campaignfx.rng import derive_rng
 from campaignfx.series import segment
 from campaignfx.snapcache import CACHE_NAME, read_lines
+from campaignfx.synth import SynthConfig, generate_corpus_data
 
 
 def run(args):
@@ -128,6 +130,14 @@ class TestRunConfig:
         with pytest.raises(InvalidConfig, match=f"^{key} "):
             build_run_config(overrides={key: value}, env={})
 
+    def test_is_a_frozen_test_config(self):
+        config = build_run_config(parse_config_file("alpha = 0.1"), overrides={"seed": 3}, env={})
+        assert isinstance(config, TestConfig)
+        assert not set(vars(RunConfig)["__annotations__"]) & {f.name for f in dataclasses.fields(TestConfig)}
+        for f in dataclasses.fields(RunConfig):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
+
 
 class TestUsableCpus:
     """The ``jobs`` default is the affinity count, capped by a cgroup CPU quota read from fake files."""
@@ -163,6 +173,40 @@ class TestSynthCommand:
             assert (corpus_dir / name).exists()
         first = json.loads((corpus_dir / "snapshots.jsonl").read_text().splitlines()[0])
         assert set(first) == {"venue_id", "ts", "checkins", "users", "specials", "tips", "likes"}
+
+    def test_flag_defaults(self, tmp_path):
+        """Every flag left out takes the CLI's default; days and seasonality differ from ``SynthConfig``'s."""
+        assert run(["synth", "--venues", 12, "--out", tmp_path]) == 0
+        corpus = generate_corpus_data(SynthConfig(
+            n_venues=12, days=120, base_rate_log_mean=1.0, base_rate_log_sd=0.6, weekly_seasonality_amp=0.15,
+            platform_trend_per_day=0.0, promo_fraction=0.1, effect_multiplier=0.0, zero_venue_fraction=0.0,
+            seed=0, poll_jitter_hours=2.0, venue_prefix="v",
+        ))
+        for name, lines in (
+            ("snapshots.jsonl", corpus.snapshot_lines()), ("offers.jsonl", corpus.offer_lines()),
+            ("venues.jsonl", corpus.venue_lines()), ("ground_truth.jsonl", corpus.ground_truth_lines()),
+        ):
+            assert lines, name
+            assert (tmp_path / name).read_text() == "\n".join(lines) + "\n", name
+
+
+class TestSettingsReachEveryWindow:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_window_is_tested_with_the_flags(self, corpus_dir, tmp_path, jobs):
+        """The four test settings and the seed reach every window ``test`` bootstraps, in the pool and out of it."""
+        settings = {"alpha": 0.1, "bootstraps": 299, "block_len": 3, "power_min": 0.25, "seed": 5}
+        flags = [arg for name, value in settings.items() for arg in (f"--{name.replace('_', '-')}", value)]
+        inputs = [corpus_dir / "snapshots.jsonl", corpus_dir / "offers.jsonl"]
+        assert run(["test", "--snapshots", inputs[0], "--offers", inputs[1], *flags,
+                    "--jobs", jobs, "--out", tmp_path]) == 0
+        effects = pipeline.read_effects_csv((tmp_path / "effects.csv").read_text())
+        eligible = pipeline.segment_stage(pipeline.load_corpus(*map(read_lines, inputs)), RunConfig()).eligible
+        segments = {(c.period.venue_id, c.segments.start_day): c.segments for c in eligible}
+        assert effects and len(effects) == sum(h.window(seg) is not None for seg in segments.values() for h in Horizon)
+        for e in effects:
+            seg, h = segments[e.venue_id, e.start_day], e.result.horizon
+            rng = derive_rng(settings["seed"], "effect", e.venue_id, e.start_day, h.value)
+            assert e.result == evaluate_effect(seg.before, h.window(seg), h, TestConfig(**settings), rng)
 
 
 class TestPipelineCommands:
